@@ -183,7 +183,10 @@ let engine_instance ~count ~mean ~seed k : instance =
  fun ~check () ->
   let tag = "engine-dynamic" in
   let platform = Grid5000.rennes () in
-  let ptgs = draw_stream ~tag ~seed k ~count in
+  (* The arrival order comes from the recipe too: in a session this long
+     it decides how many large applications overlap, which moved a run's
+     cost by 25% and its memory peak by 20% from one seed to the next. *)
+  let ptgs = draw_stream ~tag ~seed:recipe_seed k ~count in
   let apps = List.combine ptgs (releases ~tag ~seed k ~count ~mean) in
   let faults =
     Fault.generate ~seed:(Hashtbl.hash (tag ^ "/faults", seed, k)) platform
@@ -316,11 +319,11 @@ type workload = {
   default_seed : int;
 }
 
-let serve_streams = 4
+let serve_streams = 8
 let serve_apps = 200
-let engine_sessions = 10
-let engine_arrivals = 6
-let engine_gap = 20.
+let engine_sessions = 5
+let engine_arrivals = 40
+let engine_gap = 40.
 let paper_per_subset = 12
 let paper_count = 2
 
@@ -338,7 +341,7 @@ let workloads =
     {
       name = "engine-dynamic";
       default_seed = 1;
-      traced = 2;
+      traced = 1;
       instances =
         (fun ~seed ->
           List.init engine_sessions
@@ -357,16 +360,16 @@ let workloads =
 
 (* ---------- Measurement ---------- *)
 
-(* Shared hosts drift in speed by tens of percent over tens of seconds,
-   longer than a run, so raw times of two runs taken a minute apart are
-   not comparable. Before every repetition the benchmark times a fixed
-   kernel that uses only the standard library — no code of this
-   repository — for about 10% of the previous repetition's time.
-   End-to-end times are reported in reference seconds: raw ×
-   [kernel_ref_s] / mean kernel time of the same run (the mean, because
-   a repetition's time integrates the host's speed over its length). A change to the
-   scheduler moves the raw times and leaves the kernel alone; the raw
-   times are printed too. *)
+(* Shared hosts drift in speed by tens of percent over seconds to
+   minutes, so raw times of two runs are not comparable. Before every
+   repetition, and after the last, the benchmark times a fixed kernel
+   that uses only the standard library — no code of this repository —
+   for about 10% of the previous repetition's time. Each repetition's
+   times are reported in reference seconds: raw × [kernel_ref_s] / the
+   mean kernel time of the calibrations just before and just after it,
+   so a slow spell of the host inside one run is corrected where it
+   happened. A change to the scheduler moves the raw times and leaves
+   the kernel alone; the raw times are printed too. *)
 let kernel_ref_s = 0.06
 
 (* A random DAG of 40,000 nodes as adjacency lists (about 8 MB of small
@@ -395,47 +398,82 @@ let kernel () =
   ignore (Sys.opaque_identity order);
   now () -. t
 
-let calibrate samples ~budget =
+(* Kernel times of one calibration: at least one run, about [budget]
+   seconds, from a collected heap. *)
+let calibrate ~budget =
+  Gc.full_major ();
   let stop = now () +. budget in
-  samples := kernel () :: !samples;
-  while now () < stop do
-    samples := kernel () :: !samples
-  done
+  let rec go acc =
+    let acc = kernel () :: acc in
+    if now () < stop then go acc else acc
+  in
+  Array.of_list (go [])
+
+let median_sum lists =
+  Array.fold_left (fun a l -> a +. Pstats.median (Array.of_list l)) 0. lists
+
+let concat_map f a = Array.concat (Array.to_list (Array.map f a))
+
+(* Peak resident size (VmHWM) since the last [reset_peak_rss], which
+   sets it back to the current resident size. *)
+let peak_rss_mb () =
+  match In_channel.with_open_text "/proc/self/status" In_channel.input_all with
+  | status ->
+    List.find_map
+      (fun line ->
+        Scanf.sscanf_opt line "VmHWM: %d kB" (fun kb -> float_of_int kb /. 1024.))
+      (String.split_on_char '\n' status)
+    |> Option.value ~default:Float.nan
+  | exception Sys_error _ -> Float.nan
+
+let reset_peak_rss () =
+  try Out_channel.with_open_text "/proc/self/clear_refs" (fun oc -> output_string oc "5")
+  with Sys_error _ -> ()
 
 type measured = {
-  setups : float list array;  (** per instance, one per repetition *)
-  walls : float list array;
+  setups : float list array;  (** per instance, one per repetition; reference s *)
+  walls : float list array;  (** reference s *)
+  raw_setup : float;  (** Σ per-instance medians of the raw times, s *)
+  raw_wall : float;
   first : outcome array;  (** first timed outcome of each instance *)
-  decisions : float array;  (** per arrival, median over repetitions *)
+  decisions : float array;  (** per arrival, median over repetitions; reference s *)
   repeats : int;
   attempted : int;  (** over every repetition *)
   failed : int;  (** failures, plus outputs differing from the first run *)
-  scale : float;  (** reference seconds per raw second *)
+  scale : float;  (** median over repetitions of reference s per raw s *)
   kernel_samples : int;
+  rss_mb : float;  (** highest peak resident size of a timed repetition *)
 }
 
 (* Round-robin over the instances until [seconds] have elapsed, every
    instance at least once; each repetition starts from a collected heap,
    is set up afresh, and must repeat the instance's first outputs bit
-   for bit. *)
+   for bit. The kernel runs on a collected heap too, so its time holds
+   no collection of the program's garbage, and the memory peak is reset
+   after it, so the peak is the timed repetitions' own. *)
 let measure ~seconds instances =
   let instances = Array.of_list instances in
   let n = Array.length instances in
-  let setups = Array.make n [] and walls = Array.make n [] in
-  let first = Array.make n None and decisions = Array.make n [] in
+  let first = Array.make n None in
   let repeats = ref 0 and attempted = ref 0 and failed = ref 0 in
-  let samples = ref [] and last = ref 0.2 in
+  let reps = ref [] and cals = ref [] and kernel_samples = ref 0 in
+  let last = ref 0.2 and rss_mb = ref 0. in
+  let calibrate () =
+    let samples = calibrate ~budget:(0.1 *. !last) in
+    kernel_samples := !kernel_samples + Array.length samples;
+    cals := mean samples :: !cals
+  in
   let deadline = now () +. seconds in
   while !repeats < n || now () < deadline do
     let k = !repeats mod n in
-    calibrate samples ~budget:(0.1 *. !last);
+    calibrate ();
     Gc.full_major ();
+    reset_peak_rss ();
     let run, setup_s = timed (fun () -> instances.(k) ~check:false ()) in
     let (o : outcome), wall_s = timed run in
+    rss_mb := Float.max !rss_mb (peak_rss_mb ());
     last := setup_s +. wall_s;
-    setups.(k) <- setup_s :: setups.(k);
-    walls.(k) <- wall_s :: walls.(k);
-    decisions.(k) <- o.decisions :: decisions.(k);
+    reps := (k, setup_s, wall_s, o.decisions) :: !reps;
     attempted := !attempted + o.attempts;
     failed := !failed + o.failures;
     (match first.(k) with
@@ -447,7 +485,17 @@ let measure ~seconds instances =
             (Pstats.fingerprint o.outputs));
     incr repeats
   done;
-  calibrate samples ~budget:(0.1 *. !last);
+  calibrate ();
+  (* Repetition [i] ran between calibrations [i] and [i + 1]. *)
+  let cals = Array.of_list (List.rev !cals) in
+  let scales =
+    Array.init !repeats (fun i -> kernel_ref_s /. ((cals.(i) +. cals.(i + 1)) /. 2.))
+  in
+  let per_instance f =
+    let a = Array.make n [] in
+    List.iteri (fun i ((k, _, _, _) as r) -> a.(k) <- f scales.(i) r :: a.(k)) (List.rev !reps);
+    a
+  in
   let per_arrival runs =
     match runs with
     | [] -> [||]
@@ -456,15 +504,19 @@ let measure ~seconds instances =
           Pstats.median (Array.of_list (List.map (fun a -> a.(i)) runs)))
   in
   {
-    setups;
-    walls;
+    setups = per_instance (fun c (_, s, _, _) -> c *. s);
+    walls = per_instance (fun c (_, _, w, _) -> c *. w);
+    raw_setup = median_sum (per_instance (fun _ (_, s, _, _) -> s));
+    raw_wall = median_sum (per_instance (fun _ (_, _, w, _) -> w));
     first = Array.map Option.get first;
-    decisions = Array.concat (Array.to_list (Array.map per_arrival decisions));
+    decisions =
+      concat_map per_arrival (per_instance (fun c (_, _, _, d) -> Array.map (( *. ) c) d));
     repeats = !repeats;
     attempted = !attempted;
     failed = !failed;
-    scale = kernel_ref_s /. mean (Array.of_list !samples);
-    kernel_samples = List.length !samples;
+    scale = Pstats.median scales;
+    kernel_samples = !kernel_samples;
+    rss_mb = !rss_mb;
   }
 
 (* The verification run: every instance once with the checker on. Its
@@ -482,20 +534,6 @@ let verify instances (outs : outcome array) =
     (0, 0, 0) checked
   |> fun (a, f, _) -> (a, f)
 
-let median_sum lists =
-  Array.fold_left (fun a l -> a +. Pstats.median (Array.of_list l)) 0. lists
-
-let peak_rss_mb () =
-  match In_channel.with_open_text "/proc/self/status" In_channel.input_all with
-  | status ->
-    List.find_map
-      (fun line ->
-        Scanf.sscanf_opt line "VmHWM: %d kB" (fun kb -> float_of_int kb /. 1024.))
-      (String.split_on_char '\n' status)
-    |> Option.value ~default:Float.nan
-  | exception Sys_error _ -> Float.nan
-
-let concat_map f a = Array.concat (Array.to_list (Array.map f a))
 let total f a = Array.fold_left (fun n o -> n + f o) 0 a
 
 (* ---------- Reporting ---------- *)
@@ -563,32 +601,30 @@ let pct_label (t : Pstats.tail) =
 
 (* The end-to-end metrics of one untraced measurement. Workload-specific
    ones are [None] elsewhere and only printed. *)
-let end_to_end (m : measured) ~rss ~attempted ~failed =
+let end_to_end (m : measured) ~attempted ~failed =
   let first = m.first in
-  let raw_wall = median_sum m.walls in
-  let wall = m.scale *. raw_wall in
+  let wall = median_sum m.walls in
   let responses = concat_map (fun o -> o.responses) first in
-  let decisions = Array.map (fun d -> m.scale *. d) m.decisions in
-  let dec50 = tail_ms ~p:0.5 decisions and dec95 = tail_ms ~p:0.95 decisions in
+  let dec50 = tail_ms ~p:0.5 m.decisions and dec95 = tail_ms ~p:0.95 m.decisions in
   let resp95 = Pstats.tail_percentile ~p:0.95 responses in
   let opt_mean a = if Array.length a = 0 then None else Some (mean a) in
   [
     ( "setup_s",
-      Some (m.scale *. median_sum m.setups),
+      Some (median_sum m.setups),
       "s",
-      Printf.sprintf "raw %.4g s" (median_sum m.setups) );
+      Printf.sprintf "raw %.4g s" m.raw_setup );
     ( "wall_s",
       Some wall,
       "s",
       Printf.sprintf "raw %.4g s, %d timed repetitions, host speed %.3f from %d kernel samples"
-        raw_wall m.repeats m.scale m.kernel_samples );
+        m.raw_wall m.repeats m.scale m.kernel_samples );
     ("apps_per_s", Some (float_of_int (total (fun o -> o.apps) first) /. wall), "1/s", "");
     ("decision_p50_ms", Option.map snd dec50, "ms", "");
     ( "decision_p95_ms",
       Option.map snd dec95,
       "ms",
       match dec95 with Some (t, _) -> pct_label t | None -> "" );
-    ("peak_rss_mb", Some rss, "MB", "");
+    ("peak_rss_mb", Some m.rss_mb, "MB", "");
     ("resp_p50_vs", Some (Pstats.nearest_rank ~p:0.5 responses), "vs", "");
     ( "resp_p95_vs",
       Option.map (fun (t : Pstats.tail) -> t.value) resp95,
@@ -621,10 +657,6 @@ let run_pass instances =
     major_collections = g1.Gc.major_collections - g0.Gc.major_collections;
   }
 
-(* Spans that only loop around named phases: their self time is time no
-   phase accounts for (the event loop's, the evaluation loop's). *)
-let wrappers = [ "online.run"; "serve.run"; "serve.step"; "runner.evaluate" ]
-
 type sim = { replay_s : float; flows : int; events : int }
 
 (* Counts the engines report in [Engine.stats], with or without the
@@ -652,15 +684,13 @@ let print_counters pairs =
     (String.concat " " (List.map (fun (n, v) -> Printf.sprintf "%s=%s" n (fmt_value v)) pairs))
 
 let per_layer ~(untraced : pass) ~(traced : pass) ~spans ~counters ~sim =
-  let selfs = Pstats.self_times spans in
-  let phase name =
-    match List.find_opt (fun (n, _, _, _) -> n = name) selfs with
-    | Some (_, calls, total, self) -> (calls, total, self)
-    | None -> (0, 0., 0.)
-  in
-  let calls n = let c, _, _ = phase n in float_of_int c in
-  let total_s n = let _, t, _ = phase n in t in
-  let self_s n = let _, _, s = phase n in s in
+  let rows = Export.profile_rows () in
+  let phase name = List.find_opt (fun (r : Export.row) -> r.phase = name) rows in
+  let field f name = Option.fold ~none:0. ~some:f (phase name) in
+  let calls = field (fun r -> float_of_int r.calls) in
+  let total_s = field (fun r -> r.total_s) in
+  let self_s = field (fun r -> r.self_s) in
+  let words = field (fun r -> r.alloc_w) in
   let durs name =
     Array.of_list
       (List.filter_map
@@ -669,11 +699,6 @@ let per_layer ~(untraced : pass) ~(traced : pass) ~spans ~counters ~sim =
   in
   let ms p a =
     match Pstats.tail_percentile ~p a with Some t -> t.value *. 1e3 | None -> 0.
-  in
-  let words name =
-    List.fold_left
-      (fun a (s : Obs.span) -> if s.name = name then a +. s.alloc_w else a)
-      0. spans
   in
   let ctr name = float_of_int (Option.value (List.assoc_opt name counters) ~default:0) in
   let ratio a b = if b > 0. then a /. b else 0. in
@@ -734,7 +759,7 @@ let per_layer ~(untraced : pass) ~(traced : pass) ~spans ~counters ~sim =
     ("gc.minor_words", untraced.minor_words);
     ("gc.major_collections", float_of_int untraced.major_collections);
     ("trace.overhead_frac", ratio (traced.wall_s -. untraced.wall_s) untraced.wall_s);
-    ("trace.unattributed_frac", Pstats.unattributed_frac ~wrapper:(fun n -> List.mem n wrappers) spans);
+    ("trace.unattributed_frac", Pstats.unattributed_frac spans);
   ]
 
 (* Deterministic counts printed beside the timings: they read the same
@@ -766,10 +791,9 @@ let run_workload ~e2e ~layers ~why ~seed ~seconds ~trace (w : workload) =
   let instances = w.instances ~seed in
   if not trace then begin
     let m = measure ~seconds instances in
-    let rss = peak_rss_mb () in
     let va, vf = verify instances m.first in
     let attempted = m.attempted + va and failed = m.failed + vf in
-    let rows = end_to_end m ~rss ~attempted ~failed in
+    let rows = end_to_end m ~attempted ~failed in
     print_block "end-to-end (tracing off):"
       (List.map
          (fun (n, v, u, note) -> (n, v, if note = "" then u else u ^ "  (" ^ note ^ ")"))
@@ -787,7 +811,7 @@ let run_workload ~e2e ~layers ~why ~seed ~seconds ~trace (w : workload) =
     Obs.disable ();
     let spans = Obs.spans () and counters = Obs.counter_values () in
     (try Sys.mkdir trace_dir 0o755 with Sys_error _ -> ());
-    let path = Filename.concat trace_dir (Printf.sprintf "%s-seed%d.trace.json" w.name seed) in
+    let path = Filename.concat trace_dir (w.name ^ ".trace.json") in
     Export.write Export.Chrome path;
     Printf.printf "chrome trace: %s (%d spans)\n" path (List.length spans);
     let sim, sim_bad =

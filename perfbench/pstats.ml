@@ -20,7 +20,9 @@ let nearest_rank values ~p =
 
 type tail = { p : float; value : float; samples : int; beyond : int }
 
-let tail_percentile ?(min_beyond = 10) ~p values =
+let min_beyond = 10
+
+let tail_percentile ~p values =
   let a = sorted_finite values in
   let n = Array.length a in
   let k = min (rank ~p n) (n - min_beyond) in
@@ -34,39 +36,18 @@ let tail_percentile ?(min_beyond = 10) ~p values =
         beyond = n - k;
       }
 
-(* One pass in completion order: children complete before their parent,
-   so the durations of a span's direct children are exactly what was
-   accumulated one level deeper since the last span at its own level. *)
-let self_times (spans : Mcs_obs.Obs.span list) =
-  let child = Hashtbl.create 8 in
-  let acc = Hashtbl.create 64 in
-  let children d = Option.value (Hashtbl.find_opt child d) ~default:0. in
-  List.iter
-    (fun (s : Mcs_obs.Obs.span) ->
-      let self = s.dur_s -. children (s.depth + 1) in
-      Hashtbl.replace child (s.depth + 1) 0.;
-      Hashtbl.replace child s.depth (children s.depth +. s.dur_s);
-      let calls, total, self_sum =
-        Option.value (Hashtbl.find_opt acc s.name) ~default:(0, 0., 0.)
-      in
-      Hashtbl.replace acc s.name (calls + 1, total +. s.dur_s, self_sum +. self))
-    spans;
-  Hashtbl.fold (fun name (c, t, s) l -> (name, c, t, s) :: l) acc []
-  |> List.sort compare
+(* Spans that only loop around named phases: the engine's event loop,
+   the service run and step, the evaluation loop. *)
+let wrappers = [ "online.run"; "serve.run"; "serve.step"; "runner.evaluate" ]
 
-let unattributed_frac ?(wrapper = fun _ -> false) (spans : Mcs_obs.Obs.span list) =
-  let root_s =
+let unattributed_frac (spans : Mcs_obs.Obs.span list) =
+  let root_s, uncovered =
     List.fold_left
-      (fun a (s : Mcs_obs.Obs.span) -> if s.depth = 0 then a +. s.dur_s else a)
-      0. spans
-  in
-  let roots = Hashtbl.create 8 in
-  List.iter (fun (s : Mcs_obs.Obs.span) -> if s.depth = 0 then Hashtbl.replace roots s.name ()) spans;
-  let uncovered =
-    List.fold_left
-      (fun a (name, _, _, self) ->
-        if Hashtbl.mem roots name || wrapper name then a +. self else a)
-      0. (self_times spans)
+      (fun (root_s, uncovered) (s : Mcs_obs.Obs.span) ->
+        ( (if s.depth = 0 then root_s +. s.dur_s else root_s),
+          if s.depth = 0 || List.mem s.name wrappers then uncovered +. s.self_s
+          else uncovered ))
+      (0., 0.) spans
   in
   if root_s <= 0. then 0. else uncovered /. root_s
 

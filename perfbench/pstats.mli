@@ -1,7 +1,7 @@
 (** Statistics of the repository benchmark: order statistics with an
-    explicit tail-sample rule, self time over {!Mcs_obs.Obs} span lists,
-    and fingerprints that compare a timed run's outputs with a
-    verification run's. Pure functions, tested on synthetic data. *)
+    explicit tail-sample rule, the unattributed share of a
+    {!Mcs_obs.Obs} span list, and fingerprints that compare a timed
+    run's outputs with a verification run's. Pure functions, tested on synthetic data. *)
 
 val median : float array -> float
 (** Median of the finite values (mean of the two middle ones for an even
@@ -18,27 +18,19 @@ type tail = {
   beyond : int;  (** samples strictly above its rank *)
 }
 
-val tail_percentile : ?min_beyond:int -> p:float -> float array -> tail option
-(** The [p]-quantile (nearest rank) when at least [min_beyond] (default
-    10) samples lie beyond its rank; otherwise the highest percentile
-    that keeps [min_beyond] samples beyond it. [None] when no rank does
-    (fewer than [min_beyond + 1] finite samples). A tail percentile read
-    off fewer samples would be one or two outliers, not a tail. *)
+val tail_percentile : p:float -> float array -> tail option
+(** The [p]-quantile (nearest rank) when at least 10 samples lie beyond
+    its rank; otherwise the highest percentile that keeps 10 samples
+    beyond it. [None] when no rank does (fewer than 11 finite
+    samples). A tail percentile read off
+    fewer samples would be one or two outliers, not a tail. *)
 
-val self_times : Mcs_obs.Obs.span list -> (string * int * float * float) list
-(** Spans aggregated by name as [(name, calls, total_s, self_s)], sorted
-    by name. Self time is recomputed from the spans' depths and
-    durations — a span's duration minus the durations of its direct
-    children — so it does not depend on the recorder's own [self_s]
-    field. Spans must be in completion order (children before their
-    parent), as {!Mcs_obs.Obs.spans} returns them. *)
-
-val unattributed_frac : ?wrapper:(string -> bool) -> Mcs_obs.Obs.span list -> float
-(** Share of root-span (depth 0) time that no named phase covers:
-    the self time of the roots, plus that of every span [wrapper]
-    accepts (default: none) — spans that only wrap a loop around named
-    phases, such as an event loop — over the roots' summed duration.
-    [0.] without root time. A root's name must not reappear nested. *)
+val unattributed_frac : Mcs_obs.Obs.span list -> float
+(** Share of root-span (depth 0) time that no named phase covers: the
+    summed [self_s] of the roots and of the spans that only loop around
+    named phases ([online.run], [serve.run], [serve.step],
+    [runner.evaluate]), over the roots' summed duration. [0.] without
+    root time. *)
 
 type fingerprint
 (** The exact bit patterns of a run's per-item outputs (responses,

@@ -1,9 +1,9 @@
 (* Statistics of the benchmark on synthetic inputs: the tail-percentile
-   rule, self time and unattributed share over hand-built span lists,
-   and fingerprint comparison. *)
+   rule, the unattributed share of hand-built span lists, and
+   fingerprint comparison. *)
 
-let span ?(alloc_w = 0.) name depth start_s dur_s : Mcs_obs.Obs.span =
-  { name; depth; start_s; dur_s; self_s = Float.nan; alloc_w }
+let span name depth start_s dur_s self_s : Mcs_obs.Obs.span =
+  { name; depth; start_s; dur_s; self_s; alloc_w = 0. }
 
 let close = Alcotest.float 1e-9
 let iota n = Array.init n (fun i -> float_of_int (i + 1))
@@ -37,32 +37,29 @@ let test_tail_rule () =
     (Pstats.tail_percentile ~p:0.5 (iota 10));
   Alcotest.(check (option tail)) "11 samples leave the minimum"
     (Some { Pstats.p = 1. /. 11.; value = 1.; samples = 11; beyond = 10 })
-    (Pstats.tail_percentile ~p:0.99 (iota 11));
-  Alcotest.(check (option tail)) "custom threshold"
-    (Some { Pstats.p = 0.95; value = 19.; samples = 20; beyond = 1 })
-    (Pstats.tail_percentile ~min_beyond:1 ~p:0.95 (iota 20))
+    (Pstats.tail_percentile ~p:0.99 (iota 11))
 
 (* Completion order: root r [0,10] with children a [1,4] (which holds
-   grandchild g [2,3]) and b [5,7]; then a second root r [10,12]. *)
+   grandchild g [2,3]) and b [5,7]; then a second root r [10,12] whose
+   child online.run [10,11.5] wraps a phase p [10.5,11]. Each span's
+   self time is its duration minus its direct children's. *)
 let trace =
   [
-    span "g" 2 2. 1.; span "a" 1 1. 3.; span "b" 1 5. 2.; span "r" 0 0. 10.;
-    span "r" 0 10. 2.;
+    span "g" 2 2. 1. 1.; span "a" 1 1. 3. 2.; span "b" 1 5. 2. 2.;
+    span "r" 0 0. 10. 5.; span "p" 2 10.5 0.5 0.5;
+    span "online.run" 1 10. 1.5 1.; span "r" 0 10. 2. 0.5;
   ]
 
-let test_self_times () =
-  let row = Alcotest.(pair (pair string int) (pair (float 1e-9) (float 1e-9))) in
-  let as_pairs = List.map (fun (n, c, t, s) -> ((n, c), (t, s))) in
-  Alcotest.(check (list row)) "self = duration minus direct children"
-    [ (("a", 1), (3., 2.)); (("b", 1), (2., 2.)); (("g", 1), (1., 1.)); (("r", 2), (12., 7.)) ]
-    (as_pairs (Pstats.self_times trace))
-
 let test_unattributed () =
-  Alcotest.check close "root time no child covers" (7. /. 12.) (Pstats.unattributed_frac trace);
+  Alcotest.check close "roots' and wrappers' self time over root time"
+    ((5. +. 0.5 +. 1.) /. 12.)
+    (Pstats.unattributed_frac trace);
   Alcotest.check close "fully covered root" 0.
-    (Pstats.unattributed_frac [ span "c" 1 0. 4.; span "r" 0 0. 4. ]);
-  Alcotest.check close "a wrapper's self time is uncovered too" ((7. +. 2.) /. 12.)
-    (Pstats.unattributed_frac ~wrapper:(String.equal "a") trace);
+    (Pstats.unattributed_frac [ span "c" 1 0. 4. 4.; span "r" 0 0. 4. 0. ]);
+  Alcotest.check close "a wrapper alone at the root is all uncovered" 1.
+    (Pstats.unattributed_frac [ span "online.run" 0 0. 3. 3. ]);
+  Alcotest.check close "a phase named like a root is not a root" (2. /. 6.)
+    (Pstats.unattributed_frac [ span "r" 1 0. 4. 4.; span "r" 0 0. 6. 2. ]);
   Alcotest.check close "no spans" 0. (Pstats.unattributed_frac [])
 
 let test_fingerprint () =
@@ -90,7 +87,6 @@ let () =
         ] );
       ( "spans",
         [
-          Alcotest.test_case "self times" `Quick test_self_times;
           Alcotest.test_case "unattributed share" `Quick test_unattributed;
         ] );
       ("fingerprints", [ Alcotest.test_case "mismatches" `Quick test_fingerprint ]);

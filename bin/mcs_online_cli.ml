@@ -43,6 +43,10 @@ let run site strategy family count seed mean_interarrival static finish_resched
     shrink malleable resize_quantum redist_cost min_width shrink_above
     grow_below profile profile_format =
   Obs_cli.scoped ~profile ~format:profile_format @@ fun () ->
+  if count < 1 then begin
+    prerr_endline "--count must be at least 1";
+    exit 2
+  end;
   let platform =
     match Mcs_platform.Grid5000.by_name site with
     | Some p -> p

@@ -46,6 +46,7 @@ let run site shards inline count seed mean_interarrival family strategy
     router window capacity reject shed_above rate check faults mttf mttr
     task_fail_p malleable resize_quantum log_path profile profile_format =
   Obs_cli.scoped ~profile ~format:profile_format @@ fun () ->
+  if count < 1 then die "--count must be at least 1";
   let platform =
     match Mcs_platform.Grid5000.by_name site with
     | Some p -> p

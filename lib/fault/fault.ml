@@ -28,10 +28,15 @@ let no_faults = { seed = 0; config = default; outages = [] }
 let is_empty s = s.outages = [] && s.config.task_fail_p <= 0.
 
 let validate config =
-  if config.mttf <= 0. || Float.is_nan config.mttf then
-    invalid_arg "Fault.generate: mttf must be positive (infinity = never)";
-  if not (Float.is_finite config.mttr) || config.mttr <= 0. then
-    invalid_arg "Fault.generate: mttr must be finite and positive";
+  let floor = Mcs_util.Floatx.time_floor in
+  if Float.is_nan config.mttf || config.mttf < floor then
+    invalid_arg
+      (Printf.sprintf
+         "Fault.generate: mttf must be at least %g s (infinity = never)" floor);
+  if not (Float.is_finite config.mttr) || config.mttr < floor then
+    invalid_arg
+      (Printf.sprintf "Fault.generate: mttr must be finite and at least %g s"
+         floor);
   if
     Float.is_nan config.task_fail_p
     || config.task_fail_p < 0. || config.task_fail_p > 1.

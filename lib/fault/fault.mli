@@ -62,9 +62,9 @@ val generate : seed:int -> Mcs_platform.Platform.t -> config -> scenario
 (** Materialise the outage process of a platform. Deterministic in
     [(seed, platform, config)]; each failure unit draws from its own
     child stream, so the draw counts of different units cannot couple.
-    @raise Invalid_argument on a non-positive [mttf] or [mttr], a
-    non-finite [mttr], [task_fail_p] outside [0, 1], or a non-positive
-    horizon. *)
+    @raise Invalid_argument on an [mttf] or [mttr] below
+    {!Mcs_util.Floatx.time_floor}, a non-finite [mttr], [task_fail_p]
+    outside [0, 1], or a non-positive horizon. *)
 
 val no_faults : scenario
 (** The empty scenario (seed 0, {!default} config, no outages): faults

@@ -96,8 +96,9 @@ let will_fail s app v =
 
 (* Announce the future of every active application under the current
    schedule generation: one finish event per still-running or
-   not-yet-started real task, one departure per application. Events of
-   earlier generations become stale and are dropped on pop. *)
+   not-yet-started real task, one departure per application. The
+   caller has already retracted the previous generation's
+   announcements ([Event_queue.new_generation]). *)
 let announce s =
   let state = s.st in
   List.iter
@@ -141,20 +142,18 @@ let announce s =
                 else
                   Event_queue.Task_finish { app = app.State.index; node = v }
               in
-              Event_queue.push s.q ~time:pl.Schedule.finish
-                ~version:state.State.version kind
+              Event_queue.push s.q ~time:pl.Schedule.finish kind
             end;
             if v = exit && not doomed then
               Event_queue.push s.q
                 ~time:(Float.max pl.Schedule.finish state.State.now)
-                ~version:state.State.version
                 (Event_queue.Departure app.State.index))
         app.State.placements)
     (State.active state)
 
 (* A blackout (no live processor) cannot remap anything: revoke every
-   unstarted placement and bump the generation so their events go
-   stale; the recovery event will trigger the real reschedule. *)
+   unstarted placement and retract the generation's announcements; the
+   recovery event will trigger the real reschedule. *)
 let blackout s =
   let state = s.st in
   List.iter
@@ -167,13 +166,13 @@ let blackout s =
           | Some _ | None -> ())
         app.State.placements)
     (State.active state);
-  state.State.version <- state.State.version + 1;
+  Event_queue.new_generation s.q;
   announce s
 
 (* Arm the next legal resize opportunity of every running real task:
    one [Resize] event per task at its next grid point, announced under
-   the current generation so any later reschedule re-plans it (the old
-   event goes stale). An opportunity is not a commitment — the trigger
+   the current generation so any later reschedule retracts and re-plans
+   it. An opportunity is not a commitment — the trigger
    is re-evaluated when the point is reached. *)
 let plan_resizes s =
   match (policy s).Policy.malleability with
@@ -194,7 +193,7 @@ let plan_resizes s =
                   ~now:state.State.now
               in
               if at < pl.Schedule.finish -. Floatx.eps then
-                Event_queue.push s.q ~time:at ~version:state.State.version
+                Event_queue.push s.q ~time:at
                   (Event_queue.Resize { app = app.State.index; node = v })
             | Some _ | None -> ())
           app.State.placements)
@@ -350,7 +349,7 @@ let reschedule s ~trigger =
              procedure = (policy s).Policy.config.Pipeline.procedure;
              apps = snap_apps;
            }));
-    state.State.version <- state.State.version + 1;
+    Event_queue.new_generation s.q;
     state.State.reschedules <- state.State.reschedules + 1;
     state.State.remapped_tasks <- state.State.remapped_tasks + remapped;
     Obs.incr c_reschedules;
@@ -372,14 +371,6 @@ let reschedule s ~trigger =
            remapped;
            pinned = frozen;
          })
-
-let stale s ev =
-  match ev.Event_queue.kind with
-  | Event_queue.Arrival _ | Event_queue.Proc_down _ | Event_queue.Proc_up _ ->
-    false
-  | Event_queue.Task_finish _ | Event_queue.Task_failed _
-  | Event_queue.Departure _ | Event_queue.Resize _ ->
-    ev.Event_queue.version <> s.st.State.version
 
 (* Execute one resize opportunity of task [node] of application [i]
    under model [m]. The target width is decided here, at the grid point
@@ -412,8 +403,7 @@ let try_resize s m i node =
           ~now:state.State.now
       in
       if at < pl.Schedule.finish -. Floatx.eps then
-        Event_queue.push s.q ~time:at ~version:state.State.version
-          (Event_queue.Resize { app = i; node });
+        Event_queue.push s.q ~time:at (Event_queue.Resize { app = i; node });
       false
     in
     let width = Array.length pl.Schedule.procs in
@@ -680,7 +670,7 @@ let handle s ev trigger =
       if try_resize s m i node then
         (* Mandatory, kernel-independent: the resized segment must be
            committed and re-announced and its successors re-priced, or
-           the stale finish events of the old width would fire. *)
+           the announced finish events of the old width would fire. *)
         trigger := merge_trigger !trigger "resize";
       Obs.leave ()));
   Obs.leave ()
@@ -705,7 +695,7 @@ let create ?log ?check ?faults ?kernel ~policy platform apps =
   in
   Array.iter
     (fun app ->
-      Event_queue.push s.q ~time:app.State.release ~version:0
+      Event_queue.push s.q ~time:app.State.release
         (Event_queue.Arrival app.State.index))
     s.st.State.apps;
   (match faults with
@@ -713,9 +703,9 @@ let create ?log ?check ?faults ?kernel ~policy platform apps =
   | Some sc ->
     List.iter
       (fun o ->
-        Event_queue.push s.q ~time:o.Fault.down_at ~version:0
+        Event_queue.push s.q ~time:o.Fault.down_at
           (Event_queue.Proc_down o.Fault.procs);
-        Event_queue.push s.q ~time:o.Fault.up_at ~version:0
+        Event_queue.push s.q ~time:o.Fault.up_at
           (Event_queue.Proc_up o.Fault.procs))
       sc.Fault.outages);
   s
@@ -726,11 +716,10 @@ let submit s ptg ~release ~at =
   if at < s.st.State.now then
     invalid_arg "Engine.submit: admission in the processed past";
   let app = State.add_app s.st ptg ~release in
-  Event_queue.push s.q ~time:at ~version:0 (Event_queue.Arrival app.State.index);
+  Event_queue.push s.q ~time:at (Event_queue.Arrival app.State.index);
   app.State.index
 
 let now s = s.st.State.now
-let pending_events s = Event_queue.length s.q
 let active_count s = s.st.State.active_apps
 let peak_active s = s.st.State.peak_active
 let app_count s = Array.length s.st.State.apps
@@ -847,29 +836,25 @@ let advance ?upto s =
     | Some ev when not (bounded ev.Event_queue.time) -> ()
     | Some _ ->
       let ev = Option.get (Event_queue.pop s.q) in
-      if stale s ev then loop ()
-      else begin
-        state.State.now <- ev.Event_queue.time;
-        let trigger = ref None in
-        handle s ev trigger;
-        (* Drain every simultaneous event before rescheduling once, so β
-           is recomputed over the post-batch set of active applications
-           (the queue orders finishes before failures, departures,
-           arrivals, outages and recoveries at equal times). *)
-        let rec drain_batch () =
-          match Event_queue.peek s.q with
-          | Some e when e.Event_queue.time <= state.State.now +. Floatx.eps ->
-            let e = Option.get (Event_queue.pop s.q) in
-            if not (stale s e) then handle s e trigger;
-            drain_batch ()
-          | Some _ | None -> ()
-        in
-        drain_batch ();
-        (match !trigger with
-        | Some trigger -> reschedule s ~trigger
-        | None -> ());
-        loop ()
-      end
+      state.State.now <- ev.Event_queue.time;
+      let trigger = ref None in
+      handle s ev trigger;
+      (* Drain every simultaneous event before rescheduling once, so β
+         is recomputed over the post-batch set of active applications
+         (the queue orders finishes before failures, departures,
+         arrivals, outages and recoveries at equal times). *)
+      let rec drain_batch () =
+        match Event_queue.peek s.q with
+        | Some e when e.Event_queue.time <= state.State.now +. Floatx.eps ->
+          handle s (Option.get (Event_queue.pop s.q)) trigger;
+          drain_batch ()
+        | Some _ | None -> ()
+      in
+      drain_batch ();
+      (match !trigger with
+      | Some trigger -> reschedule s ~trigger
+      | None -> ());
+      loop ()
   in
   loop ()
 

@@ -80,8 +80,9 @@
     observationally identical to running with no scenario at all. *)
 
 type stats = {
-  events_processed : int;  (** non-stale events handled by the loop *)
-  events_pushed : int;     (** total queue insertions, stale included *)
+  events_processed : int;  (** events handled by the loop *)
+  events_pushed : int;
+      (** total queue insertions, retracted announcements included *)
   reschedules : int;
   remapped_tasks : int;    (** placements recomputed over the whole run *)
   kills : int;             (** attempts killed by processor outages *)
@@ -198,9 +199,6 @@ val app_count : session -> int
 val in_service : session -> int
 (** Applications submitted and not yet completed (arrived or still
     queued) — the load measure behind the serving layer's shedding. *)
-
-val pending_events : session -> int
-(** Queued events, stale announcements included. *)
 
 type snapshot
 (** A deep, self-contained copy of a session's whole mutable world:

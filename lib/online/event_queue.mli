@@ -18,15 +18,18 @@
     (application index, then node; first processor id for fault events)
     breaks ties, so the pop order is canonical even when fault events
     collide with announcements; the insertion sequence is only the final
-    resort (same task announced under two schedule generations: the
-    earlier push is the stale one).
+    resort.
 
     Task-finish, task-failed, departure and resize events are
-    invalidated by rescheduling (the engine re-announces the future of every active
-    application after each β recomputation). Instead of searching the
-    queue, events carry the schedule {e version} they were announced
-    under; the engine drops, on pop, any finish/failure/departure whose
-    version is stale. *)
+    {e announcements}: they describe the current schedule generation,
+    and the engine re-announces the future of every active application
+    after each β recomputation. Announcements live in a heap of their
+    own that {!new_generation} empties, so an earlier generation's
+    announcements are retracted at once instead of lingering until they
+    are popped. Arrivals, outages and recoveries sit in a second heap
+    that is never cleared. {!pop} takes the smaller of the two heads
+    under the one total order above: the pop sequence is that of a
+    single queue from which every retracted announcement was removed. *)
 
 type kind =
   | Arrival of int  (** application index *)
@@ -43,7 +46,6 @@ type kind =
 
 type event = {
   time : float;
-  version : int;  (** schedule generation the event was announced under *)
   kind : kind;
 }
 
@@ -58,14 +60,20 @@ val copy : t -> t
     snapshot/restore contract — the clone pops the exact sequence the
     original would, tiebreaks included. *)
 
-val push : t -> time:float -> version:int -> kind -> unit
-(** @raise Invalid_argument on a negative or non-finite time. *)
+val push : t -> time:float -> kind -> unit
+(** Queue one event; a task-finish, task-failed, departure or resize
+    event belongs to the current generation.
+    @raise Invalid_argument on a negative or non-finite time. *)
+
+val new_generation : t -> unit
+(** Retract every pending announcement (task-finish, task-failed,
+    departure, resize): the schedule that announced them is superseded.
+    Arrivals, outages and recoveries stay queued. *)
 
 val pop : t -> event option
 (** Remove and return the next event in (time, kind, content key,
-    insertion) order, or [None] when the queue is empty. Staleness is
-    the caller's concern: popped events still carry their announcement
-    version. *)
+    insertion) order, or [None] when the queue is empty. Retracted
+    announcements are never returned. *)
 
 val peek : t -> event option
 (** The event {!pop} would return, without removing it. *)
@@ -73,9 +81,7 @@ val peek : t -> event option
 val is_empty : t -> bool
 (** Whether no event is pending. *)
 
-val length : t -> int
-(** Number of pending events (stale ones included until popped). *)
-
 val pushed : t -> int
-(** Total number of events ever pushed — the event-throughput counter
-    reported by the benchmarks. *)
+(** Total number of events ever pushed, retracted announcements
+    included — the event-throughput counter reported by the
+    benchmarks. *)

@@ -50,12 +50,25 @@ type app_state = {
   pending : int array;                  (* unmapped predecessor count *)
 }
 
-(* One placement candidate on a given cluster. *)
+(* One placement candidate on a given cluster: the [width] processors
+   at offset [off] of [view]. The view may be an index's live sorted
+   array, so only the winner's window is copied out ({!window}), once,
+   before the index is updated. *)
 type candidate = {
-  procs : int array;
+  view : int array;
+  off : int;
+  width : int;
   cluster : int;
   start : float;
   finish : float;
+}
+
+let window c = Array.sub c.view c.off c.width
+
+(* Start and finish of the width [place_task] evaluated last. *)
+type last_eval = {
+  mutable last_start : float;
+  mutable last_finish : float;
 }
 
 let better_candidate a b =
@@ -67,7 +80,7 @@ let better_candidate a b =
     else if ca.finish < cb.finish -. Floatx.eps then Some ca
     else if cb.start < ca.start -. Floatx.eps then Some cb
     else if ca.start < cb.start -. Floatx.eps then Some ca
-    else if Array.length cb.procs > Array.length ca.procs then Some cb
+    else if cb.width > ca.width then Some cb
     else Some ca
 
 let make_state (ptg, alloc) =
@@ -108,10 +121,10 @@ let bottom_levels ref_cluster ptg alloc =
    with a per-task Array.sort — and [proc_avail] is the availability
    array shared with it. Everything that does not depend on the
    candidate width p' (per-predecessor route bandwidths, the aggregate
-   NIC sums, sorted predecessor processor sets) is computed once per
-   task or once per task×cluster and reused across all packing
-   candidates; the resulting placements are bit-identical to the
-   original search. *)
+   NIC sums) is computed once per task or once per task×cluster and
+   reused across all packing candidates; the predecessors' sorted
+   processor sets are built only when the in-place rule can apply. The
+   resulting placements are bit-identical to the original search. *)
 let place_task platform ref_cluster avail_idx proc_avail state v ~packing
     ~floor ~virtual_floor =
   let ptg = state.ptg in
@@ -145,21 +158,26 @@ let place_task platform ref_cluster avail_idx proc_avail state v ~packing
     let p_finish = Array.map (fun (pu, _) -> pu.Schedule.finish) preds in
     let p_bytes = Array.map (fun (_, bytes) -> bytes) preds in
     let p_cluster = Array.map (fun (pu, _) -> pu.Schedule.cluster) preds in
-    let p_src =
-      Array.map
-        (fun (pu, _) -> max 1 (Array.length pu.Schedule.procs))
-        preds
+    let p_width =
+      Array.map (fun (pu, _) -> Array.length pu.Schedule.procs) preds
     in
     let p_sorted =
-      Array.map
-        (fun (pu, _) ->
-          let s = Array.copy pu.Schedule.procs in
-          Array.sort compare s;
-          s)
-        preds
+      lazy
+        (Array.map
+           (fun (pu, _) ->
+             let s = Array.copy pu.Schedule.procs in
+             Array.sort Int.compare s;
+             s)
+           preds)
     in
     (* Per-cluster scratch, overwritten for each k. *)
     let p_route = Array.make (max 1 np) 0. in
+    (* The width last evaluated: its start and finish live in a
+       float-only record, which OCaml stores flat, so evaluating a
+       packing width boxes no float; only a winner becomes a
+       [candidate]. *)
+    let last = { last_start = 0.; last_finish = 0. } in
+    let last_off = ref 0 in
     let best = ref None in
     for k = 0 to P.cluster_count platform - 1 do
       let c = P.cluster platform k in
@@ -171,7 +189,7 @@ let place_task platform ref_cluster avail_idx proc_avail state v ~packing
       let order = Avail_index.sorted avail_idx k in
       if Array.length order > 0 then begin
       let needed =
-        min
+        Int.min
           (Array.length order)
           (Reference_cluster.translate ref_cluster platform ~cluster:k
              state.alloc.(v))
@@ -194,18 +212,22 @@ let place_task platform ref_cluster avail_idx proc_avail state v ~packing
       and agg_last = !agg_last
       and agg_senders = !agg_senders in
       (* Redistribution cost of predecessor [i] towards p' processors of
-         cluster k: latency + bytes over the NIC/route-limited rate. *)
-      let cost i p' =
+         cluster k: latency + bytes over the NIC/route-limited rate.
+         Inlined: a call would box the float it returns, once per
+         predecessor per evaluated width. *)
+      let[@inline] cost i p' =
         if p_bytes.(i) <= 0. then 0.
         else
           let rate =
             Float.min
-              (float_of_int (min p_src.(i) p') *. nic)
+              (float_of_int (Int.min (Int.max 1 p_width.(i)) p') *. nic)
               p_route.(i)
           in
           latency +. (p_bytes.(i) /. rate)
       in
-      let candidate_for p' =
+      (* Place the task on p' processors of cluster k: the result goes
+         to [last] and [last_off]. *)
+      let evaluate p' =
         (* All incoming transfers funnel through the p' destination
            NICs; when several predecessors send data, their aggregate
            bounds the data-ready time too. *)
@@ -241,7 +263,7 @@ let place_task platform ref_cluster avail_idx proc_avail state v ~packing
           done;
           !lo
         in
-        let procs = Array.sub order (fits_until - p') p' in
+        let off = fits_until - p' in
         (* The in-place rule may cancel transfers from predecessors that
            ran on exactly the chosen processors; when no predecessor ran
            on this cluster with this width, nothing can be cancelled and
@@ -250,21 +272,17 @@ let place_task platform ref_cluster avail_idx proc_avail state v ~packing
         for i = 0 to np - 1 do
           if
             p_bytes.(i) > 0. && p_cluster.(i) = k
-            && Array.length p_sorted.(i) = p'
+            && p_width.(i) = p'
           then may_cancel := true
         done;
         let data_ready =
           if not !may_cancel then data_ready0
           else begin
-            let chosen =
-              let s = Array.copy procs in
-              Array.sort compare s;
-              s
-            in
+            let chosen = Array.sub order off p' in
+            Array.sort Int.compare chosen;
+            let p_sorted = Lazy.force p_sorted in
             let in_place i =
-              p_cluster.(i) = k
-              && Array.length p_sorted.(i) = p'
-              && p_sorted.(i) = chosen
+              p_cluster.(i) = k && p_width.(i) = p' && p_sorted.(i) = chosen
             in
             let total = ref 0. and last = ref 0. and senders = ref 0 in
             for i = 0 to np - 1 do
@@ -290,16 +308,26 @@ let place_task platform ref_cluster avail_idx proc_avail state v ~packing
             Float.max aggregate !acc
           end
         in
-        (* [procs] is an availability-sorted window, so its availability
+        (* The window is availability-sorted, so its availability
            maximum is its last element's. *)
         let avail = Float.max 0. proc_avail.(order.(fits_until - 1)) in
         let start = Float.max floor (Float.max data_ready avail) in
-        let finish =
-          start +. Task.time task ~gflops:c.P.gflops ~procs:p'
-        in
-        { procs; cluster = k; start; finish }
+        last_off := off;
+        last.last_start <- start;
+        last.last_finish <- start +. Task.time task ~gflops:c.P.gflops ~procs:p'
       in
-      let full = candidate_for needed in
+      let candidate p' =
+        {
+          view = order;
+          off = !last_off;
+          width = p';
+          cluster = k;
+          start = last.last_start;
+          finish = last.last_finish;
+        }
+      in
+      evaluate needed;
+      let full = candidate needed in
       best := better_candidate !best (Some full);
       if packing && needed > 1 then
         (* The allocation may shrink only if the task then starts
@@ -308,13 +336,13 @@ let place_task platform ref_cluster avail_idx proc_avail state v ~packing
         Obs.with_span "mapper.packing" @@ fun () ->
         for p' = needed - 1 downto 1 do
           Obs.incr c_packing_attempts;
-          let cand = candidate_for p' in
+          evaluate p';
           if
-            cand.start < full.start -. Floatx.eps
-            && cand.finish <= full.finish +. Floatx.eps
+            last.last_start < full.start -. Floatx.eps
+            && last.last_finish <= full.finish +. Floatx.eps
           then begin
             Obs.incr c_packing_wins;
-            best := better_candidate !best (Some cand)
+            best := better_candidate !best (Some (candidate p'))
           end
         done
       end
@@ -324,12 +352,13 @@ let place_task platform ref_cluster avail_idx proc_avail state v ~packing
       (* Only reachable when a fault mask leaves no live processor. *)
       invalid_arg "List_mapper.run: no live cluster can host a task"
     | Some c ->
-      Avail_index.update avail_idx c.procs c.finish;
-      Obs.incr ~by:(Array.length c.procs) c_avail_reorders;
+      let procs = window c in
+      Avail_index.update avail_idx procs c.finish;
+      Obs.incr ~by:c.width c_avail_reorders;
       {
         Schedule.node = v;
         cluster = c.cluster;
-        procs = c.procs;
+        procs;
         start = c.start;
         finish = c.finish;
       }
@@ -416,7 +445,14 @@ let place_task_backfill platform ref_cluster timeline subsets state v ~floor
       | Some (start, procs) ->
         Obs.incr c_backfill_slots;
         let cand =
-          { procs; cluster = k; start; finish = start +. exec }
+          {
+            view = procs;
+            off = 0;
+            width = Array.length procs;
+            cluster = k;
+            start;
+            finish = start +. exec;
+          }
         in
         best := better_candidate !best (Some cand))
       end
@@ -427,15 +463,17 @@ let place_task_backfill platform ref_cluster timeline subsets state v ~floor
          reachable when a fault mask leaves no live processor. *)
       invalid_arg "List_mapper.run: no live cluster can host a task"
     | Some cand ->
+      (* A backfill candidate's view is its own freshly found slot. *)
+      let procs = cand.view in
       Array.iter
         (fun p ->
           Mcs_util.Timeline.reserve timeline ~proc:p ~start:cand.start
             ~finish:cand.finish)
-        cand.procs;
+        procs;
       {
         Schedule.node = v;
         cluster = cand.cluster;
-        procs = cand.procs;
+        procs;
         start = cand.start;
         finish = cand.finish;
       }

@@ -20,8 +20,10 @@ let default =
   }
 
 let validate t =
-  if not (Float.is_finite t.quantum) || t.quantum <= 0. then
-    invalid_arg "Malleability: quantum must be positive and finite";
+  if not (Float.is_finite t.quantum) || t.quantum < Floatx.time_floor then
+    invalid_arg
+      (Printf.sprintf "Malleability: quantum must be finite and at least %g s"
+         Floatx.time_floor);
   if not (Float.is_finite t.redist_cost) || t.redist_cost < 0. then
     invalid_arg "Malleability: redist_cost must be non-negative and finite";
   if t.min_width < 1 then invalid_arg "Malleability: min_width must be >= 1";

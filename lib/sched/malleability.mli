@@ -40,7 +40,9 @@ val default : t
     applications, grow below 2. *)
 
 val validate : t -> unit
-(** @raise Invalid_argument on a non-positive or non-finite quantum, a
+(** @raise Invalid_argument on a non-finite quantum or one below
+    {!Mcs_util.Floatx.time_floor} (a finer grid would re-arm resize
+    points within the engine's time tolerance of [now]), a
     negative or non-finite cost, [min_width < 1],
     [max_width < min_width], or a negative trigger threshold. *)
 

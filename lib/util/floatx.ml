@@ -1,5 +1,7 @@
 let eps = 1e-9
 
+let time_floor = 1000. *. eps
+
 let approx_eq ?(tol = eps) a b =
   let d = Float.abs (a -. b) in
   d <= tol || d <= tol *. Float.max (Float.abs a) (Float.abs b)

@@ -5,6 +5,13 @@
 val eps : float
 (** Absolute tolerance used for schedule-time comparisons (1e-9 s). *)
 
+val time_floor : float
+(** Smallest accepted value of a time parameter that spaces engine
+    events — the malleability resize quantum, a fault process's MTTF and
+    MTTR: [1000 × eps] (1 µs). Closer to [eps], the instants such a
+    parameter generates fall inside one tolerance-merged batch and
+    virtual time can stop advancing. *)
+
 val approx_eq : ?tol:float -> float -> float -> bool
 (** [approx_eq a b] is [true] when [a] and [b] differ by at most [tol]
     (default {!eps}) in absolute value, or by [tol] relatively for large

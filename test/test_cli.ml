@@ -1,0 +1,103 @@
+(* End-to-end checks of the scheduling CLIs: the online engine's event
+   log stays byte-identical to a committed golden file, and bad inputs
+   are refused with exit code 2 instead of escaping as uncaught
+   exceptions or livelocking. *)
+
+module Malleability = Mcs_sched.Malleability
+module Fault = Mcs_fault.Fault
+module Floatx = Mcs_util.Floatx
+
+(* Paths relative to the test binary, which dune builds next to its
+   fixtures and beside the bin/ directory it depends on. *)
+let here = Filename.dirname Sys.executable_name
+let online_cli = Filename.concat here "../bin/mcs_online_cli.exe"
+let serve_cli = Filename.concat here "../bin/mcs_serve_cli.exe"
+
+(* Run [exe] with [args]; returns its exit code and its stdout. *)
+let run_cli exe args =
+  let out = Filename.temp_file "mcs_cli" ".out" in
+  let fd = Unix.openfile out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let pid =
+    Unix.create_process exe (Array.of_list (exe :: args)) Unix.stdin fd null
+  in
+  Unix.close fd;
+  Unix.close null;
+  let code =
+    match snd (Unix.waitpid [] pid) with
+    | Unix.WEXITED c -> c
+    | Unix.WSIGNALED _ | Unix.WSTOPPED _ -> -1
+  in
+  let text = In_channel.with_open_bin out In_channel.input_all in
+  Sys.remove out;
+  (code, text)
+
+let test_online_golden_log () =
+  let code, log =
+    run_cli online_cli
+      [
+        "--count"; "8"; "--seed"; "11"; "--faults"; "--mttf"; "2000";
+        "--mttr"; "120"; "--task-fail-p"; "0.05"; "--malleable";
+        "--resize-quantum"; "10"; "--check";
+      ]
+  in
+  Alcotest.(check int) "exit 0" 0 code;
+  let golden =
+    In_channel.with_open_bin
+      (Filename.concat here "fixtures/online_golden.jsonl")
+      In_channel.input_all
+  in
+  Alcotest.(check bool) "log byte-identical to the golden file" true
+    (String.equal log golden)
+
+let check_refused name exe args =
+  let code, _ = run_cli exe args in
+  Alcotest.(check int) (name ^ ": exit 2") 2 code
+
+let test_count_zero_refused () =
+  check_refused "online --count 0" online_cli [ "--count"; "0" ];
+  check_refused "online --count -1" online_cli [ "--count=-1" ];
+  check_refused "serve --count 0" serve_cli [ "--inline"; "--count"; "0" ]
+
+let test_tiny_time_parameters_refused () =
+  (* Used to livelock: resize points re-armed within the time tolerance
+     of [now], so the same-instant drain never let time advance. *)
+  check_refused "online --resize-quantum 1e-9" online_cli
+    [ "--count"; "3"; "--malleable"; "--resize-quantum"; "1e-9" ];
+  check_refused "online --mttf/--mttr 1e-9" online_cli
+    [ "--count"; "3"; "--faults"; "--mttf"; "1e-9"; "--mttr"; "1e-9" ];
+  check_refused "serve --resize-quantum 1e-9" serve_cli
+    [ "--inline"; "--count"; "3"; "--malleable"; "--resize-quantum"; "1e-9" ];
+  let raises f = try f (); false with Invalid_argument _ -> true in
+  let below = Floatx.time_floor /. 2. in
+  let model q = { Malleability.default with Malleability.quantum = q } in
+  Alcotest.(check bool) "quantum below the floor" true
+    (raises (fun () -> Malleability.validate (model below)));
+  Alcotest.(check bool) "quantum at the floor" false
+    (raises (fun () -> Malleability.validate (model Floatx.time_floor)));
+  let config = { Fault.default with Fault.mttf = 100.; mttr = 10. } in
+  Alcotest.(check bool) "mttf below the floor" true
+    (raises (fun () -> Fault.validate { config with Fault.mttf = below }));
+  Alcotest.(check bool) "mttr below the floor" true
+    (raises (fun () -> Fault.validate { config with Fault.mttr = below }));
+  Alcotest.(check bool) "mttf/mttr at the floor" false
+    (raises (fun () ->
+         Fault.validate
+           {
+             config with
+             Fault.mttf = Floatx.time_floor;
+             mttr = Floatx.time_floor;
+           }))
+
+let suite =
+  [
+    ( "cli",
+      [
+        Alcotest.test_case "online golden log byte-identical" `Quick
+          test_online_golden_log;
+        Alcotest.test_case "--count 0 refused with exit 2" `Quick
+          test_count_zero_refused;
+        Alcotest.test_case "too-small time parameters refused" `Quick
+          test_tiny_time_parameters_refused;
+      ] );
+  ]

@@ -24,7 +24,7 @@ module Avail_index = Mcs_util.Avail_index
 
 let test_event_queue_order () =
   let q = Event_queue.create () in
-  let push k = Event_queue.push q ~time:5. ~version:0 k in
+  let push k = Event_queue.push q ~time:5. k in
   (* Scrambled insertion order on purpose. *)
   push (Event_queue.Arrival 2);
   push (Event_queue.Proc_up [| 3 |]);
@@ -34,7 +34,7 @@ let test_event_queue_order () =
   push (Event_queue.Task_finish { app = 0; node = 7 });
   push (Event_queue.Proc_down [| 1; 2 |]);
   push (Event_queue.Arrival 0);
-  Event_queue.push q ~time:4. ~version:3 (Event_queue.Departure 9);
+  Event_queue.push q ~time:4. (Event_queue.Departure 9);
   let expected =
     [
       Event_queue.Departure 9;
@@ -58,21 +58,135 @@ let test_event_queue_order () =
   Alcotest.(check bool) "drained" true (Event_queue.is_empty q)
 
 let test_event_queue_insertion_tie () =
-  (* Same time, kind and content key: insertion sequence decides, so the
-     stale announcement (pushed first, lower version) pops first. *)
+  (* A new generation retracts the earlier announcement of the same
+     task: only the re-announced one pops, the arrival (a fact) is
+     kept, and the push counter still counts all three insertions. *)
   let q = Event_queue.create () in
   let kind = Event_queue.Task_finish { app = 0; node = 1 } in
-  Event_queue.push q ~time:2. ~version:1 kind;
-  Event_queue.push q ~time:2. ~version:2 kind;
+  Event_queue.push q ~time:3. (Event_queue.Arrival 0);
+  Event_queue.push q ~time:2. kind;
+  Event_queue.new_generation q;
+  Event_queue.push q ~time:2.5 kind;
   let a = Option.get (Event_queue.pop q) in
   let b = Option.get (Event_queue.pop q) in
-  Alcotest.(check int) "earlier push first" 1 a.Event_queue.version;
-  Alcotest.(check int) "later push second" 2 b.Event_queue.version;
+  Alcotest.(check (float 0.)) "re-announced finish first" 2.5 a.Event_queue.time;
+  Alcotest.(check bool) "arrival survives the generation" true
+    (b.Event_queue.kind = Event_queue.Arrival 0);
+  Alcotest.(check bool) "retracted finish never pops" true
+    (Event_queue.pop q = None);
+  Alcotest.(check int) "pushes counted" 3 (Event_queue.pushed q);
   Alcotest.(check bool) "rejects non-finite time" true
     (try
-       Event_queue.push q ~time:Float.nan ~version:0 kind;
+       Event_queue.push q ~time:Float.nan kind;
        false
      with Invalid_argument _ -> true)
+
+(* Reference model of the split queue: one list of every push, popped by
+   minimum under an independently written order (tuple keys under
+   polymorphic compare), with announcements of earlier generations
+   filtered out. *)
+type queue_op = Push of float * Event_queue.kind | New_generation | Pop
+
+let model_key (time, kind, seq, _) =
+  let rank, key =
+    match kind with
+    | Event_queue.Task_finish { app; node } -> (0, (app, node))
+    | Event_queue.Task_failed { app; node } -> (1, (app, node))
+    | Event_queue.Departure a -> (2, (a, -1))
+    | Event_queue.Arrival a -> (3, (a, -1))
+    | Event_queue.Proc_down ps ->
+      (4, ((if Array.length ps = 0 then -1 else ps.(0)), -2))
+    | Event_queue.Proc_up ps ->
+      (5, ((if Array.length ps = 0 then -1 else ps.(0)), -2))
+    | Event_queue.Resize { app; node } -> (6, (app, node))
+  in
+  (time, rank, key, seq)
+
+let model_live gen (_, kind, _, g) =
+  match kind with
+  | Event_queue.Arrival _ | Event_queue.Proc_down _ | Event_queue.Proc_up _ ->
+    true
+  | Event_queue.Task_finish _ | Event_queue.Task_failed _
+  | Event_queue.Departure _ | Event_queue.Resize _ ->
+    g = gen
+
+(* Apply [ops] to the queue and to the model state [(entries, gen,
+   seq)]; returns the pops of both and the model state after the ops. *)
+let run_queue_ops q (entries, gen, seq) ops =
+  let entries = ref entries and gen = ref gen and seq = ref seq in
+  let got = ref [] and want = ref [] in
+  let model_pop () =
+    match
+      List.sort
+        (fun a b -> compare (model_key a) (model_key b))
+        (List.filter (model_live !gen) !entries)
+    with
+    | [] -> None
+    | ((time, kind, _, _) as e) :: _ ->
+      entries := List.filter (fun x -> x != e) !entries;
+      Some (time, kind)
+  in
+  List.iter
+    (function
+      | Push (time, kind) ->
+        Event_queue.push q ~time kind;
+        entries := (time, kind, !seq, !gen) :: !entries;
+        incr seq
+      | New_generation ->
+        Event_queue.new_generation q;
+        incr gen
+      | Pop ->
+        got :=
+          Option.map
+            (fun e -> (e.Event_queue.time, e.Event_queue.kind))
+            (Event_queue.pop q)
+          :: !got;
+        want := model_pop () :: !want)
+    ops;
+  (List.rev !got, List.rev !want, (!entries, !gen, !seq))
+
+let queue_op_gen =
+  let open QCheck.Gen in
+  let small = int_bound 2 in
+  let kind =
+    oneof
+      [
+        map (fun a -> Event_queue.Arrival a) small;
+        map2 (fun app node -> Event_queue.Task_finish { app; node }) small small;
+        map2 (fun app node -> Event_queue.Task_failed { app; node }) small small;
+        map (fun a -> Event_queue.Departure a) small;
+        map (fun p -> Event_queue.Proc_down (if p = 0 then [||] else [| p; 0 |]))
+          small;
+        map (fun p -> Event_queue.Proc_up (if p = 0 then [||] else [| p |])) small;
+        map2 (fun app node -> Event_queue.Resize { app; node }) small small;
+      ]
+  in
+  frequency
+    [
+      (5, map2 (fun t k -> Push (float_of_int t *. 0.5, k)) (int_bound 3) kind);
+      (1, return New_generation);
+      (3, return Pop);
+    ]
+
+let qcheck_split_queue =
+  QCheck.Test.make ~count:300 ~name:"event queue split matches reference model"
+    QCheck.(
+      pair (make Gen.(list_size (int_range 0 60) queue_op_gen))
+        (make Gen.(list_size (int_range 0 40) queue_op_gen)))
+    (fun (prefix, suffix) ->
+      let q = Event_queue.create () in
+      let got, want, model = run_queue_ops q ([], 0, 0) prefix in
+      let twin = Event_queue.copy q in
+      (* Enough pops to drain both the queue and the model. *)
+      let drain =
+        List.init (List.length prefix + List.length suffix + 1) (fun _ -> Pop)
+      in
+      let got_q, want_q, _ = run_queue_ops q model (suffix @ drain) in
+      let got_twin, want_twin, _ = run_queue_ops twin model (suffix @ drain) in
+      got = want && got_q = want_q && got_twin = want_twin
+      && got_twin = got_q
+      && Event_queue.is_empty q
+      && Event_queue.pushed q = Event_queue.pushed twin)
 
 (* --- generator: determinism, outage pairing, validation --- *)
 
@@ -502,6 +616,7 @@ let suite =
           test_event_queue_order;
         Alcotest.test_case "event queue insertion tie-break" `Quick
           test_event_queue_insertion_tie;
+        QCheck_alcotest.to_alcotest qcheck_split_queue;
         Alcotest.test_case "generator determinism" `Quick
           test_generator_determinism;
         Alcotest.test_case "outage pairing + granularity" `Quick

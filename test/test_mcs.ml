@@ -5,4 +5,4 @@ let () =
     @ Test_mheft.suite @ Test_release.suite @ Test_trace.suite
     @ Test_timeline.suite @ Test_parmap.suite @ Test_properties.suite
     @ Test_online.suite @ Test_malleable.suite @ Test_fault.suite @ Test_integration.suite @ Test_check.suite
-    @ Test_obs.suite @ Test_serve.suite @ Test_analysis.suite)
+    @ Test_obs.suite @ Test_serve.suite @ Test_analysis.suite @ Test_cli.suite)

@@ -180,14 +180,10 @@ let run_online () =
         List.init count (fun id ->
             Mcs_ptg.Random_gen.generate ~id rng Mcs_ptg.Random_gen.default)
       in
-      let clock = ref 0. in
       let apps =
-        List.mapi
-          (fun i ptg ->
-            if i > 0 then
-              clock := !clock +. Mcs_prng.Prng.exponential rng ~mean:30.;
-            (ptg, !clock))
-          ptgs
+        List.combine ptgs
+          (Array.to_list
+             (Mcs_experiments.Workload.poisson_releases rng ~mean:30. ~count))
       in
       (* Best of three runs: the engine is deterministic, so the spread
          is scheduler/cache noise and the minimum wall is the honest
@@ -233,14 +229,10 @@ let run_online () =
      List.init count (fun id ->
          Mcs_ptg.Random_gen.generate ~id rng Mcs_ptg.Random_gen.default)
    in
-   let clock = ref 0. in
    let apps =
-     List.mapi
-       (fun i ptg ->
-         if i > 0 then
-           clock := !clock +. Mcs_prng.Prng.exponential rng ~mean:30.;
-         (ptg, !clock))
-       ptgs
+     List.combine ptgs
+       (Array.to_list
+          (Mcs_experiments.Workload.poisson_releases rng ~mean:30. ~count))
    in
    let policy =
      Mcs_online.Policy.make
@@ -296,12 +288,9 @@ let serve_workload count seed =
     List.init count (fun id ->
         Mcs_ptg.Random_gen.generate ~id rng Mcs_ptg.Random_gen.default)
   in
-  let clock = ref 0. in
-  List.mapi
-    (fun i ptg ->
-      if i > 0 then clock := !clock +. Mcs_prng.Prng.exponential rng ~mean:1.;
-      (ptg, !clock))
-    ptgs
+  List.combine ptgs
+    (Array.to_list
+       (Mcs_experiments.Workload.poisson_releases rng ~mean:1. ~count))
 
 let serve_config ~shards ~mode =
   {

@@ -8,56 +8,10 @@ module Pipeline = Mcs_sched.Pipeline
 module Schedule = Mcs_sched.Schedule
 module Workload = Mcs_experiments.Workload
 
-let parse_strategy = function
-  | "S" -> Ok Strategy.Selfish
-  | "ES" -> Ok Strategy.Equal_share
-  | "PS-cp" -> Ok (Strategy.Proportional Strategy.Cp)
-  | "PS-width" -> Ok (Strategy.Proportional Strategy.Width)
-  | "PS-work" -> Ok (Strategy.Proportional Strategy.Work)
-  | "WPS-cp" -> Ok (Strategy.Weighted (Strategy.Cp, Strategy.paper_mu Strategy.Cp))
-  | "WPS-width" ->
-    Ok (Strategy.Weighted (Strategy.Width, Strategy.paper_mu Strategy.Width))
-  | "WPS-work" ->
-    Ok (Strategy.Weighted (Strategy.Work, Strategy.paper_mu Strategy.Work))
-  | s -> Error ("unknown strategy " ^ s)
-
-let parse_family = function
-  | "random" -> Ok Workload.Random_mixed_scenarios
-  | "fft" -> Ok Workload.Fft_ptgs
-  | "strassen" -> Ok Workload.Strassen_ptgs
-  | s -> Error ("unknown family " ^ s)
-
-let write_file path contents =
-  let oc = open_out path in
-  output_string oc contents;
-  close_out oc;
-  Printf.eprintf "wrote %s\n" path
-
-let run site strategy family count seed csv json check profile profile_format =
+let run (sc : Engine_cli.scenario) csv json check profile profile_format =
   Obs_cli.scoped ~profile ~format:profile_format @@ fun () ->
-  let platform =
-    match Mcs_platform.Grid5000.by_name site with
-    | Some p -> p
-    | None ->
-      prerr_endline ("unknown site: " ^ site ^ " (lille|nancy|rennes|sophia)");
-      exit 2
-  in
-  let strategy =
-    match parse_strategy strategy with
-    | Ok s -> s
-    | Error m ->
-      prerr_endline m;
-      exit 2
-  in
-  let family =
-    match parse_family family with
-    | Ok f -> f
-    | Error m ->
-      prerr_endline m;
-      exit 2
-  in
-  let rng = Mcs_prng.Prng.create ~seed in
-  let ptgs = Workload.draw rng family ~count in
+  let platform = sc.platform and strategy = sc.strategy in
+  let ptgs = Engine_cli.draw sc in
   let prepared = Pipeline.prepare ~strategy platform ptgs in
   let schedules = Pipeline.schedule_concurrent ~strategy platform ptgs in
   (match Schedule.validate ~platform schedules with
@@ -76,8 +30,8 @@ let run site strategy family count seed csv json check profile profile_format =
      if Mcs_check.Diagnostic.has_errors diags then exit 1
    end);
   let sim = Mcs_sim.Replay.run platform schedules in
-  Printf.printf "%s, %d %s applications, strategy %s\n\n" site count
-    (Workload.family_name family) (Strategy.name strategy);
+  Printf.printf "%s, %d %s applications, strategy %s\n\n" sc.site sc.count
+    (Workload.family_name sc.family) (Strategy.name strategy);
   List.iteri
     (fun i sched ->
       Printf.printf
@@ -89,7 +43,7 @@ let run site strategy family count seed csv json check profile profile_format =
   print_newline ();
   print_string (Schedule.gantt ~platform schedules);
   (match csv with
-  | Some path -> write_file path (Mcs_sched.Trace.to_csv schedules)
+  | Some path -> Engine_cli.write_file path (Mcs_sched.Trace.to_csv schedules)
   | None -> ());
   match json with
   | Some path ->
@@ -100,49 +54,25 @@ let run site strategy family count seed csv json check profile profile_format =
         (fun (r : Mcs_sched.Allocation.result) -> r.Mcs_sched.Allocation.procs)
         prepared.Pipeline.allocations
     in
-    write_file path
+    Engine_cli.write_file path
       (Mcs_sched.Trace.to_json ~betas:prepared.Pipeline.betas ~alloc schedules)
   | None -> ()
 
-let site =
-  Arg.(value & opt string "rennes"
-       & info [ "site" ] ~doc:"lille, nancy, rennes or sophia")
-
-let strategy =
-  Arg.(value & opt string "WPS-width"
-       & info [ "strategy" ]
-           ~doc:"S, ES, PS-cp, PS-width, PS-work, WPS-cp, WPS-width, WPS-work")
-
-let family =
-  Arg.(value & opt string "random"
-       & info [ "family" ] ~doc:"random, fft or strassen")
-
-let count =
-  Arg.(value & opt int 4 & info [ "count" ] ~doc:"concurrent applications")
-
-let seed = Arg.(value & opt int 0 & info [ "seed" ] ~doc:"PRNG seed")
-
-let csv =
-  Arg.(value & opt (some string) None
-       & info [ "csv" ] ~doc:"export the schedules as CSV to this path")
-
-let json =
-  Arg.(value & opt (some string) None
-       & info [ "json" ] ~doc:"export the schedules as JSON to this path")
-
 let check =
-  Arg.(value & flag
-       & info [ "check" ]
-           ~doc:
-             "run the invariant analyzer over the produced schedules and \
-              exit non-zero on any violated rule")
+  Engine_cli.check
+    ~doc:
+      "run the invariant analyzer over the produced schedules and exit \
+       non-zero on any violated rule"
 
 let cmd =
   let doc = "schedule concurrent PTGs on a multi-cluster" in
   Cmd.v
     (Cmd.info "mcs_sched" ~doc)
     Term.(
-      const run $ site $ strategy $ family $ count $ seed $ csv $ json $ check
-      $ Obs_cli.profile $ Obs_cli.profile_format)
+      const run
+      $ Engine_cli.scenario ~site:"rennes" ~strategy:"WPS-width" ~count:4
+          ~count_doc:"concurrent applications"
+      $ Engine_cli.csv $ Engine_cli.json $ check $ Obs_cli.profile
+      $ Obs_cli.profile_format)
 
 let () = exit (Cmd.eval cmd)

@@ -7,10 +7,8 @@
 
 open Cmdliner
 module Strategy = Mcs_sched.Strategy
-module Workload = Mcs_experiments.Workload
 module Engine = Mcs_online.Engine
 module Policy = Mcs_online.Policy
-module Fault = Mcs_fault.Fault
 module Log = Mcs_online.Log
 module Service = Mcs_serve.Service
 module Shard = Mcs_serve.Shard
@@ -18,66 +16,14 @@ module Admission = Mcs_serve.Admission
 module Router = Mcs_serve.Router
 module Stats = Mcs_serve.Stats
 
-let parse_strategy = function
-  | "S" -> Ok Strategy.Selfish
-  | "ES" -> Ok Strategy.Equal_share
-  | "PS-cp" -> Ok (Strategy.Proportional Strategy.Cp)
-  | "PS-width" -> Ok (Strategy.Proportional Strategy.Width)
-  | "PS-work" -> Ok (Strategy.Proportional Strategy.Work)
-  | "WPS-cp" -> Ok (Strategy.Weighted (Strategy.Cp, Strategy.paper_mu Strategy.Cp))
-  | "WPS-width" ->
-    Ok (Strategy.Weighted (Strategy.Width, Strategy.paper_mu Strategy.Width))
-  | "WPS-work" ->
-    Ok (Strategy.Weighted (Strategy.Work, Strategy.paper_mu Strategy.Work))
-  | s -> Error ("unknown strategy " ^ s)
+let die = Engine_cli.die
 
-let parse_family = function
-  | "random" -> Ok Workload.Random_mixed_scenarios
-  | "fft" -> Ok Workload.Fft_ptgs
-  | "strassen" -> Ok Workload.Strassen_ptgs
-  | s -> Error ("unknown family " ^ s)
-
-let die msg =
-  prerr_endline msg;
-  exit 2
-
-let run site shards inline count seed mean_interarrival family strategy
-    dynamic finish_resched kernel checkpoint_every kill_shard kill_after
-    router window capacity reject shed_above rate check faults mttf mttr
-    task_fail_p malleable resize_quantum log_path profile profile_format =
+let run (sc : Engine_cli.scenario) mean_interarrival (e : Engine_cli.engine)
+    shards inline checkpoint_every kill_shard kill_after router window
+    capacity reject shed_above rate check log_path profile profile_format =
   Obs_cli.scoped ~profile ~format:profile_format @@ fun () ->
-  if count < 1 then die "--count must be at least 1";
-  let platform =
-    match Mcs_platform.Grid5000.by_name site with
-    | Some p -> p
-    | None -> die ("unknown site: " ^ site ^ " (lille|nancy|rennes|sophia|grid)")
-  in
-  let strategy =
-    match parse_strategy strategy with Ok s -> s | Error m -> die m
-  in
-  let family = match parse_family family with Ok f -> f | Error m -> die m in
   let router =
     match Router.choice_of_string router with Ok r -> r | Error m -> die m
-  in
-  let malleability =
-    if not malleable then None
-    else
-      Some
-        {
-          Mcs_sched.Malleability.default with
-          Mcs_sched.Malleability.quantum = resize_quantum;
-        }
-  in
-  let policy =
-    match
-      if finish_resched then
-        Policy.make ?malleability ~reschedule_on_departure:true
-          ~reschedule_on_task_finish:true strategy
-      else if dynamic then Policy.make ?malleability strategy
-      else Policy.static ?malleability strategy
-    with
-    | p -> p
-    | exception Invalid_argument m -> die m
   in
   let admission =
     {
@@ -93,8 +39,7 @@ let run site shards inline count seed mean_interarrival family strategy
       mode = (if inline then Service.Inline else Service.Domains);
       router;
       admission;
-      policy;
-      kernel;
+      policy = Engine_cli.policy e sc.strategy;
       checkpoint_every;
       kill =
         (match kill_shard with
@@ -102,27 +47,13 @@ let run site shards inline count seed mean_interarrival family strategy
         | None -> None);
       capture_logs = log_path <> None;
       check;
-      faults =
-        (if faults then
-           Some { Fault.default with Fault.mttf; mttr; task_fail_p }
-         else None);
-      fault_seed = seed;
+      faults = e.faults;
+      fault_seed = sc.seed;
     }
   in
-  let rng = Mcs_prng.Prng.create ~seed in
-  let ptgs = Workload.draw rng family ~count in
-  let clock = ref 0. in
-  let apps =
-    List.mapi
-      (fun i ptg ->
-        if i > 0 then
-          clock :=
-            !clock +. Mcs_prng.Prng.exponential rng ~mean:mean_interarrival;
-        (ptg, !clock))
-      ptgs
-  in
+  let apps = Engine_cli.draw_stream sc ~mean:mean_interarrival in
   let report =
-    match Service.run_stream ~rate config platform apps with
+    match Service.run_stream ~rate config sc.platform apps with
     | r -> r
     | exception Invalid_argument m -> die m
   in
@@ -159,13 +90,13 @@ let run site shards inline count seed mean_interarrival family strategy
      \"restores\":%d,\"violations\":%d,\"wall_s\":%.6f,\"submissions_per_s\":%.1f,\
      \"events_per_s\":%.1f,\"p50_response\":%.17g,\"p99_response\":%.17g,\
      \"virtual_makespan\":%.17g}\n"
-    site shards
+    sc.site shards
     (if inline then "inline" else "domains")
     (match router with
     | Router.Round_robin -> "rr"
     | Router.Least_work -> "work"
     | Router.Least_loaded -> "load")
-    (Strategy.name strategy) report.Service.submitted report.Service.admitted
+    (Strategy.name sc.strategy) report.Service.submitted report.Service.admitted
     report.Service.rejected report.Service.handoffs report.Service.peak_active
     report.Service.events report.Service.reschedules report.Service.remapped
     report.Service.restores report.Service.violations report.Service.wall_s
@@ -189,11 +120,6 @@ let run site shards inline count seed mean_interarrival family strategy
     exit 1
   end
 
-let site =
-  Arg.(value & opt string "grid"
-       & info [ "site" ]
-           ~doc:"lille, nancy, rennes, sophia, or grid (all four federated)")
-
 let shards =
   Arg.(value & opt int 4 & info [ "shards" ] ~doc:"platform partitions")
 
@@ -203,47 +129,6 @@ let inline =
            ~doc:
              "deterministic single-domain fallback: run every shard on the \
               calling domain (pickups on mailbox pressure and at close)")
-
-let count =
-  Arg.(value & opt int 1000 & info [ "count" ] ~doc:"submitted applications")
-
-let seed = Arg.(value & opt int 0 & info [ "seed" ] ~doc:"PRNG seed")
-
-let mean_interarrival =
-  Arg.(value & opt float 1.
-       & info [ "mean-interarrival" ]
-           ~doc:"mean Poisson inter-arrival time, virtual seconds")
-
-let family =
-  Arg.(value & opt string "random"
-       & info [ "family" ] ~doc:"random, fft or strassen")
-
-let strategy =
-  Arg.(value & opt string "WPS-work"
-       & info [ "strategy" ]
-           ~doc:"S, ES, PS-cp, PS-width, PS-work, WPS-cp, WPS-width, WPS-work")
-
-let dynamic =
-  Arg.(value & flag
-       & info [ "dynamic" ]
-           ~doc:
-             "reschedule on departures too (the serving default is \
-              arrival-only: static beta per generation)")
-
-let finish_resched =
-  Arg.(value & flag
-       & info [ "reschedule-on-finish" ]
-           ~doc:
-             "reschedule on every task finish as well as on departures \
-              (implies the dynamic departure policy; the most reactive — \
-              and most expensive — built-in policy)")
-
-let kernel =
-  Arg.(value & opt string "default"
-       & info [ "policy" ]
-           ~doc:
-             (Printf.sprintf "policy kernel governing each shard's engine: %s"
-                (String.concat ", " Mcs_online.Policy_kernel.names)))
 
 let checkpoint_every =
   Arg.(value & opt int 0
@@ -307,44 +192,10 @@ let rate =
                  as fast as admission allows)")
 
 let check =
-  Arg.(value & flag
-       & info [ "check" ]
-           ~doc:
-             "audit every shard generation with the invariant analyzer \
-              (plus the FAULT audit under --faults); exit non-zero on any \
-              violation")
-
-let faults =
-  Arg.(value & flag
-       & info [ "faults" ]
-           ~doc:
-             "inject a seeded per-shard fault process (shard k draws from \
-              seed+k) per --mttf/--mttr/--task-fail-p")
-
-let mttf =
-  Arg.(value & opt float Float.infinity
-       & info [ "mttf" ] ~doc:"mean time to failure, seconds ('inf' = none)")
-
-let mttr =
-  Arg.(value & opt float 60.
-       & info [ "mttr" ] ~doc:"mean time to repair, seconds")
-
-let task_fail_p =
-  Arg.(value & opt float 0.
-       & info [ "task-fail-p" ]
-           ~doc:"per-attempt transient task failure probability in [0,1]")
-
-let malleable =
-  Arg.(value & flag
-       & info [ "malleable" ]
-           ~doc:
-             "let each shard's engine grow/shrink running tasks at resize \
-              points under the default malleability model")
-
-let resize_quantum =
-  Arg.(value & opt float Mcs_sched.Malleability.default.quantum
-       & info [ "resize-quantum" ]
-           ~doc:"grid spacing of legal resize points, seconds")
+  Engine_cli.check
+    ~doc:
+      "audit every shard generation with the invariant analyzer (plus the \
+       FAULT audit under --faults); exit non-zero on any violation"
 
 let log_path =
   Arg.(value & opt (some string) None
@@ -358,11 +209,13 @@ let cmd =
   Cmd.v
     (Cmd.info "mcs_serve" ~doc)
     Term.(
-      const run $ site $ shards $ inline $ count $ seed $ mean_interarrival
-      $ family $ strategy $ dynamic $ finish_resched $ kernel
-      $ checkpoint_every $ kill_shard $ kill_after $ router $ window
-      $ capacity $ reject $ shed_above $ rate $ check $ faults $ mttf $ mttr
-      $ task_fail_p $ malleable $ resize_quantum $ log_path $ Obs_cli.profile
-      $ Obs_cli.profile_format)
+      const run
+      $ Engine_cli.scenario ~site:"grid" ~strategy:"WPS-work" ~count:1000
+          ~count_doc:"submitted applications"
+      $ Engine_cli.mean_interarrival 1.
+      $ Engine_cli.engine ~rescheduling:Policy.Arrivals
+      $ shards $ inline $ checkpoint_every $ kill_shard $ kill_after $ router
+      $ window $ capacity $ reject $ shed_above $ rate $ check $ log_path
+      $ Obs_cli.profile $ Obs_cli.profile_format)
 
 let () = exit (Cmd.eval cmd)

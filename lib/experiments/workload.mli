@@ -19,5 +19,12 @@ val draw : Mcs_prng.Prng.t -> family -> count:int -> Mcs_ptg.Ptg.t list
 (** [draw rng family ~count] samples [count] applications, ids
     [0 .. count-1]. *)
 
+val poisson_releases :
+  Mcs_prng.Prng.t -> mean:float -> count:int -> float array
+(** [poisson_releases rng ~mean ~count] draws the release times of a
+    Poisson submission stream: entry 0 is 0 and entry [i] is the sum of
+    [i] exponential inter-arrival draws of mean [mean], taken from
+    [rng] in order ([count - 1] draws in all). *)
+
 val paper_counts : int list
 (** [[2; 4; 6; 8; 10]] concurrent applications. *)

@@ -38,12 +38,9 @@ val profile_rows : unit -> row list
 val profile_table : unit -> Mcs_util.Table.t
 (** The self-time profile as a renderable table. *)
 
-val chrome_json : unit -> Mcs_util.Jsonx.t
-(** The Chrome trace document as a JSON value (round-trips through
-    {!Mcs_util.Jsonx.parse}). *)
-
 val chrome : unit -> string
-(** [Jsonx.encode (chrome_json ())]. *)
+(** The Chrome trace document, encoded (round-trips through
+    {!Mcs_util.Jsonx.parse}). *)
 
 val jsonl : unit -> string
 (** The JSONL stream, one object per line, trailing newline included. *)

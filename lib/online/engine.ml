@@ -48,8 +48,9 @@ type result = {
 type session = {
   st : State.t;
   q : Event_queue.t;
-  mutable kernel : Policy_kernel.t;
-      (** the one active policy object; swappable mid-run *)
+  mutable policy : Policy.t;  (** the one active policy; swappable mid-run *)
+  mutable c_policy : Obs.counter * Obs.counter;
+      (** [policy.<name>.reschedules] / [.remapped] of the active policy *)
   platform : P.t;
   faults : Fault.scenario option;
   fault_on : bool;
@@ -58,13 +59,17 @@ type session = {
   mutable processed : int;
 }
 
-let policy s = s.kernel.Policy_kernel.policy
+(* Per-policy counters are interned by policy name, so two policies of
+   the same name share them (that is the point: an A/B swap reports
+   "how much did each policy do", whichever instance was live). *)
+let policy_counters (p : Policy.t) =
+  ( Obs.counter (Printf.sprintf "policy.%s.reschedules" p.Policy.name),
+    Obs.counter (Printf.sprintf "policy.%s.remapped" p.Policy.name) )
 
-(* Trigger merging for a batch of simultaneous events: every event
-   kind asks the active kernel whether it forces a reschedule (arrivals
-   and fault events do under every kernel this repo ships — see the
-   {!Policy_kernel} contract). The label of the merged batch is its
-   strongest cause. *)
+(* Trigger merging for a batch of simultaneous events: arrivals, fault
+   events and executed resizes always force a reschedule, departures and
+   task finishes per the policy's [rescheduling] level. The label of the
+   merged batch is its strongest cause. *)
 let trigger_rank = function
   | "resize" -> 6
   | "proc_down" -> 5
@@ -88,7 +93,7 @@ let will_fail s app v =
   | Some sc
     when sc.Fault.config.Fault.task_fail_p > 0.
          && app.State.failures.(v)
-            < (policy s).Policy.faults.Policy.max_retries
+            < s.policy.Policy.faults.Policy.max_retries
     ->
     Fault.roll_failure sc ~app:app.State.index ~node:v
       ~attempt:app.State.failures.(v)
@@ -175,7 +180,7 @@ let blackout s =
    it. An opportunity is not a commitment — the trigger
    is re-evaluated when the point is reached. *)
 let plan_resizes s =
-  match (policy s).Policy.malleability with
+  match s.policy.Policy.malleability with
   | None -> ()
   | Some m ->
     let state = s.st in
@@ -220,7 +225,7 @@ let reschedule s ~trigger =
     in
     let up_counts = if degraded then Some (State.up_counts state) else None in
     let prepared =
-      if (policy s).Policy.alloc_cache then (
+      if s.policy.Policy.alloc_cache then (
         (* Incremental path: identical betas (degradation preserves the
            reference speed), allocations served from each application's
            trajectory cache on the engine's shared arena. Bit-identical
@@ -233,7 +238,7 @@ let reschedule s ~trigger =
           | None -> state.State.ref_cluster
         in
         let betas =
-          Strategy.betas (policy s).Policy.strategy
+          Strategy.betas s.policy.Policy.strategy
             ~ref_speed:rc.Reference_cluster.speed ptgs
         in
         let allocations =
@@ -241,7 +246,7 @@ let reschedule s ~trigger =
             (List.mapi
                (fun j app ->
                  Allocation.allocate_cached
-                   ~procedure:(policy s).Policy.config.Pipeline.procedure
+                   ~procedure:s.policy.Policy.config.Pipeline.procedure
                    ?up_counts ~cache:app.State.alloc_cache
                    ~arena:state.State.arena rc s.platform ~beta:betas.(j)
                    app.State.ptg)
@@ -249,8 +254,8 @@ let reschedule s ~trigger =
         in
         { Pipeline.betas; allocations })
       else
-        Pipeline.prepare ~config:(policy s).Policy.config ?ref_cluster ?up_counts
-          ~strategy:(policy s).Policy.strategy s.platform ptgs
+        Pipeline.prepare ~config:s.policy.Policy.config ?ref_cluster ?up_counts
+          ~strategy:s.policy.Policy.strategy s.platform ptgs
     in
     List.iteri
       (fun j app ->
@@ -266,20 +271,15 @@ let reschedule s ~trigger =
         (fun j app ->
           let procs = prepared.Pipeline.allocations.(j).Allocation.procs in
           let procs =
-            if Policy_kernel.shrinks s.kernel then
-              (* Shrink retried tasks per the kernel (the default
-                 halves the allocation per transient failure: smaller
-                 retries pack earlier on a degraded platform).
-                 Allocations of pinned tasks are ignored by the
-                 mapper, so shrinking them is inert. Deliberately not
-                 gated on fault mode: a custom kernel may shrink on
-                 signals of its own, and the registry kernels are the
-                 identity at zero failures, so fault-free runs stay
-                 bit-identical either way. *)
+            if s.policy.Policy.faults.Policy.shrink_on_retry then
+              (* Halve retried tasks' allocations per transient failure:
+                 smaller retries pack earlier on a degraded platform.
+                 Allocations of pinned tasks are ignored by the mapper,
+                 so shrinking them is inert, and the law is the identity
+                 at zero failures, so fault-free runs are unchanged. *)
               Array.mapi
                 (fun v p ->
-                  Policy_kernel.shrink s.kernel ~failures:app.State.failures.(v)
-                    ~procs:p)
+                  Policy.retry_width ~failures:app.State.failures.(v) ~procs:p)
                 procs
             else procs
           in
@@ -298,7 +298,7 @@ let reschedule s ~trigger =
       else None
     in
     let schedules =
-      List_mapper.run ~options:(policy s).Policy.config.Pipeline.mapper ~release
+      List_mapper.run ~options:s.policy.Policy.config.Pipeline.mapper ~release
         ~pinned ~avail ?up ?task_floor s.platform
         (match ref_cluster with
         | Some r -> r
@@ -345,8 +345,8 @@ let reschedule s ~trigger =
         (Mcs_check.Online_check.analyze s.platform
            {
              Mcs_check.Online_check.now = state.State.now;
-             strategy = (policy s).Policy.strategy;
-             procedure = (policy s).Policy.config.Pipeline.procedure;
+             strategy = s.policy.Policy.strategy;
+             procedure = s.policy.Policy.config.Pipeline.procedure;
              apps = snap_apps;
            }));
     Event_queue.new_generation s.q;
@@ -354,10 +354,11 @@ let reschedule s ~trigger =
     state.State.remapped_tasks <- state.State.remapped_tasks + remapped;
     Obs.incr c_reschedules;
     Obs.incr ~by:remapped c_remapped;
-    (* Per-kernel attribution: an A/B swap reads these to compare how
-       much work each policy object triggered. *)
-    Obs.incr s.kernel.Policy_kernel.c_reschedules;
-    Obs.incr ~by:remapped s.kernel.Policy_kernel.c_remapped;
+    (* Per-policy attribution: an A/B swap reads these to compare how
+       much work each policy triggered. *)
+    let c_policy_reschedules, c_policy_remapped = s.c_policy in
+    Obs.incr c_policy_reschedules;
+    Obs.incr ~by:remapped c_policy_remapped;
     if s.fault_on then State.commit_started state;
     announce s;
     plan_resizes s;
@@ -437,8 +438,8 @@ let try_resize s m i node =
         done;
         let cap = width + !nfree in
         let target =
-          Policy_kernel.resize_target s.kernel m
-            ~active:state.State.active_apps ~width ~cap
+          Malleability.target_width m ~active:state.State.active_apps ~width
+            ~cap
         in
         let target = max 1 (min target cap) in
         if target = width then renew ()
@@ -529,15 +530,15 @@ let handle s ev trigger =
            name = app.State.ptg.Ptg.name;
            tasks = Ptg.task_count app.State.ptg;
          });
-    if Policy_kernel.wants s.kernel Policy_kernel.Arrival then
-      trigger := merge_trigger !trigger "arrival"
+    trigger := merge_trigger !trigger "arrival"
   | Event_queue.Task_finish { app = i; node } ->
     let app = state.State.apps.(i) in
     State.record_execution state app node (placement_of s "finish" i node)
       ~finish:ev.Event_queue.time ~outcome:Fault_check.Completed;
     s.emit (Log.Task_finish { time = ev.Event_queue.time; app = i; node });
-    if Policy_kernel.wants s.kernel Policy_kernel.Task_finish then
-      trigger := merge_trigger !trigger "task_finish"
+    (match s.policy.Policy.rescheduling with
+    | Policy.Task_finishes -> trigger := merge_trigger !trigger "task_finish"
+    | Policy.Arrivals | Policy.Departures -> ())
   | Event_queue.Task_failed { app = i; node } ->
     Obs.enter "online.fault";
     let app = state.State.apps.(i) in
@@ -578,13 +579,12 @@ let handle s ev trigger =
       app.State.placements;
     let k = app.State.failures.(node) in
     app.State.retry_at.(node) <-
-      ev.Event_queue.time +. Policy_kernel.backoff s.kernel ~failures:k;
+      ev.Event_queue.time +. Policy.backoff s.policy ~failures:k;
     s.emit
       (Log.Task_failed
          { time = ev.Event_queue.time; app = i; node; failures = k });
     Obs.leave ();
-    if Policy_kernel.wants s.kernel Policy_kernel.Task_failed then
-      trigger := merge_trigger !trigger "task_failed"
+    trigger := merge_trigger !trigger "task_failed"
   | Event_queue.Proc_down procs ->
     Obs.enter "online.fault";
     state.State.fault_events <- state.State.fault_events + 1;
@@ -630,8 +630,7 @@ let handle s ev trigger =
             app.State.placements)
       state.State.apps;
     Obs.leave ();
-    if Policy_kernel.wants s.kernel Policy_kernel.Proc_down then
-      trigger := merge_trigger !trigger "proc_down"
+    trigger := merge_trigger !trigger "proc_down"
   | Event_queue.Proc_up procs ->
     Obs.enter "online.fault";
     state.State.fault_events <- state.State.fault_events + 1;
@@ -639,8 +638,7 @@ let handle s ev trigger =
     Array.iter (fun p -> state.State.proc_up.(p) <- true) procs;
     s.emit (Log.Proc_up { time = ev.Event_queue.time; procs });
     Obs.leave ();
-    if Policy_kernel.wants s.kernel Policy_kernel.Proc_up then
-      trigger := merge_trigger !trigger "proc_up"
+    trigger := merge_trigger !trigger "proc_up"
   | Event_queue.Departure i ->
     let app = state.State.apps.(i) in
     if Array.exists Option.is_none app.State.placements then
@@ -660,31 +658,31 @@ let handle s ev trigger =
            app = i;
            response = ev.Event_queue.time -. app.State.release;
          });
-    if Policy_kernel.wants s.kernel Policy_kernel.Departure then
+    (match s.policy.Policy.rescheduling with
+    | Policy.Departures | Policy.Task_finishes ->
       trigger := merge_trigger !trigger "departure"
+    | Policy.Arrivals -> ())
   | Event_queue.Resize { app = i; node } -> (
-    match (policy s).Policy.malleability with
+    match s.policy.Policy.malleability with
     | None -> ()
     | Some m ->
       Obs.enter "online.resize";
       if try_resize s m i node then
-        (* Mandatory, kernel-independent: the resized segment must be
+        (* Mandatory, policy-independent: the resized segment must be
            committed and re-announced and its successors re-priced, or
            the announced finish events of the old width would fire. *)
         trigger := merge_trigger !trigger "resize";
       Obs.leave ()));
   Obs.leave ()
 
-let create ?log ?check ?faults ?kernel ~policy platform apps =
+let create ?log ?check ?faults ~policy platform apps =
   (match faults with Some sc -> Fault.validate sc.Fault.config | None -> ());
-  let kernel =
-    match kernel with Some k -> k | None -> Policy_kernel.default policy
-  in
   let s =
     {
       st = State.create platform apps;
       q = Event_queue.create ();
-      kernel;
+      policy;
+      c_policy = policy_counters policy;
       platform;
       faults;
       fault_on = faults <> None;
@@ -724,8 +722,7 @@ let active_count s = s.st.State.active_apps
 let peak_active s = s.st.State.peak_active
 let app_count s = Array.length s.st.State.apps
 let in_service s = Array.length s.st.State.apps - s.st.State.completed_apps
-let kernel s = s.kernel
-let kernel_name s = s.kernel.Policy_kernel.name
+let policy s = s.policy
 
 let app_completed s i =
   if i < 0 || i >= Array.length s.st.State.apps then
@@ -736,40 +733,41 @@ let alloc_cache_stats s = State.alloc_cache_stats s.st
 
 let force_reschedule = reschedule
 
-let set_kernel ?(reschedule = false) s k =
-  (* A kernel carrying a different allocation procedure invalidates
+let set_policy ?(reschedule = false) s p =
+  (* A policy carrying a different allocation procedure invalidates
      every cached trajectory (each cache binds to the procedure that
      recorded it): release them all here rather than trip the bind
      guard on the next allocation. β/strategy changes need nothing —
      the budget is part of the replay key. *)
   if
-    (policy s).Policy.config.Pipeline.procedure
-    <> k.Policy_kernel.policy.Policy.config.Pipeline.procedure
+    s.policy.Policy.config.Pipeline.procedure
+    <> p.Policy.config.Pipeline.procedure
   then
     Array.iter
       (fun app -> Allocation.cache_release app.State.alloc_cache)
       s.st.State.apps;
-  s.kernel <- k;
+  s.policy <- p;
+  s.c_policy <- policy_counters p;
   if reschedule then force_reschedule s ~trigger:"policy_swap"
 
 type snapshot = {
   snap_state : State.t;
   snap_queue : Event_queue.t;
-  snap_kernel : Policy_kernel.t;
+  snap_policy : Policy.t;
   snap_faults : Fault.scenario option;
   snap_processed : int;
 }
 
 (* Both directions deep-copy, so one snapshot value can seed any number
-   of restores and is never aliased by a live session. The kernel and
-   fault scenario are shared: the kernel is an immutable record of
-   closures, and the scenario is immutable with pre-rolled (pure)
-   failure outcomes — there is no mutable PRNG stream to clone. *)
+   of restores and is never aliased by a live session. The policy and
+   fault scenario are shared: the policy is an immutable value, and the
+   scenario is immutable with pre-rolled (pure) failure outcomes — there
+   is no mutable PRNG stream to clone. *)
 let snapshot s =
   {
     snap_state = State.copy s.st;
     snap_queue = Event_queue.copy s.q;
-    snap_kernel = s.kernel;
+    snap_policy = s.policy;
     snap_faults = s.faults;
     snap_processed = s.processed;
   }
@@ -778,7 +776,8 @@ let restore ?log ?check snap =
   {
     st = State.copy snap.snap_state;
     q = Event_queue.copy snap.snap_queue;
-    kernel = snap.snap_kernel;
+    policy = snap.snap_policy;
+    c_policy = policy_counters snap.snap_policy;
     platform = snap.snap_state.State.platform;
     faults = snap.snap_faults;
     fault_on = snap.snap_faults <> None;
@@ -820,8 +819,8 @@ let audit s =
       Mcs_check.Online_check.analyze s.platform
         {
           Mcs_check.Online_check.now = state.State.now;
-          strategy = (policy s).Policy.strategy;
-          procedure = (policy s).Policy.config.Pipeline.procedure;
+          strategy = s.policy.Policy.strategy;
+          procedure = s.policy.Policy.config.Pipeline.procedure;
           apps = snap_apps;
         }
     end
@@ -871,7 +870,7 @@ let makespan st =
       else Float.max acc app.State.completion)
     0. st.State.apps
 
-(* Speculative A/B: clone twice, race the incumbent kernel against the
+(* Speculative A/B: clone twice, race the incumbent policy against the
    candidate over everything already queued, and adopt the candidate on
    the live session only if it strictly improves the makespan. The
    clones are silent (no log, no checker) and fully isolated, so the
@@ -881,12 +880,12 @@ let what_if s candidate =
   let baseline = restore (snapshot s) in
   advance baseline;
   let trial = restore (snapshot s) in
-  set_kernel ~reschedule:true trial candidate;
+  set_policy ~reschedule:true trial candidate;
   advance trial;
   let baseline_makespan = makespan baseline.st in
   let candidate_makespan = makespan trial.st in
   let adopted = candidate_makespan +. Floatx.eps < baseline_makespan in
-  if adopted then set_kernel ~reschedule:true s candidate;
+  if adopted then set_policy ~reschedule:true s candidate;
   { adopted; baseline_makespan; candidate_makespan }
 
 let result s =
@@ -899,12 +898,12 @@ let result s =
     let ptgs = Array.map (fun app -> app.State.ptg) state.State.apps in
     let down = Fault.down_intervals sc ~procs:(P.total_procs s.platform) in
     f
-      (Fault_check.check ~max_retries:(policy s).Policy.faults.Policy.max_retries
+      (Fault_check.check ~max_retries:s.policy.Policy.faults.Policy.max_retries
          ~down s.platform ~ptgs executions)
   | (Some _ | None), _ -> ());
   (* Malleable runs additionally audit the resize chains (MAL001-003),
      fault scenario or not. *)
-  (match ((policy s).Policy.malleability, s.check) with
+  (match (s.policy.Policy.malleability, s.check) with
   | Some m, Some f ->
     let ptgs = Array.map (fun app -> app.State.ptg) state.State.apps in
     f (Mcs_check.Mal_check.check m s.platform ~ptgs executions)
@@ -936,8 +935,8 @@ let result s =
       };
   }
 
-let run ?log ?check ?faults ?kernel ~policy platform apps =
+let run ?log ?check ?faults ~policy platform apps =
   if apps = [] then invalid_arg "State.create: no applications";
-  let s = create ?log ?check ?faults ?kernel ~policy platform apps in
+  let s = create ?log ?check ?faults ~policy platform apps in
   advance s;
   result s

@@ -4,8 +4,9 @@
     event kinds: application {e arrivals}, {e task finishes},
     application {e departures}, and — under fault injection —
     {e transient task failures}, processor {e outages} and
-    {e recoveries}. On each arrival — and, per {!Policy.t}, on
-    departures and task finishes — the resource constraints β are
+    {e recoveries}. On each arrival — and, per the policy's
+    {!Policy.rescheduling} level, on departures and task finishes — the
+    resource constraints β are
     recomputed with the chosen strategy over the set of
     {e currently active} applications only (arrived, not completed: an
     online scheduler cannot know the future submission stream), each
@@ -14,9 +15,13 @@
     the partially-occupied platform. Tasks that have started are pinned:
     their placements are frozen and their processors stay busy until
     their estimated finish ({!Mcs_sched.List_mapper.run}'s [pinned] /
-    [avail] extension). Departures free processors, so with
-    [reschedule_on_departure] the survivors' unstarted tasks backfill
+    [avail] extension). Departures free processors, so when the policy
+    reschedules on departures the survivors' unstarted tasks backfill
     onto the released share.
+
+    {b The policy} is one immutable {!Policy.t} value: the session holds
+    it, consults it for every trigger, backoff, shrink and allocation
+    decision, and can swap it mid-run ({!set_policy}).
 
     {b Fault injection} ([?faults]) interprets a {!Mcs_fault.Fault}
     scenario:
@@ -35,8 +40,8 @@
       the recovered capacity (a full mask schedules exactly as the
       fault-free engine);
     - a {e transient failure} costs the attempt's full duration, counts
-      one retry, and delays the task's restart by exponential backoff
-      per {!Policy.t}'s [faults] policy. After [max_retries] failures
+      one retry, and delays the task's restart by the backoff of
+      {!Policy.t}'s [faults] policy ({!Policy.backoff}). After [max_retries] failures
       the next attempt is carried through (bounded retry: the run
       always terminates). Outcomes are pre-rolled per attempt from the
       scenario seed, so they are independent of scheduling order.
@@ -46,10 +51,10 @@
     points of a {!Mcs_sched.Malleability} model: after every
     reschedule each running real task's next grid point is armed as a
     resize opportunity; when reached, the target width is decided by
-    the active kernel ({!Policy_kernel.resize_target} — by default the
-    model's thresholds: shrink under an arrival spike, grow when the
-    system drains) and clamped to the processors idle in the task's
-    cluster at that instant. A resize closes the current segment as a
+    the model's thresholds ({!Mcs_sched.Malleability.target_width}:
+    shrink under an arrival spike, grow when the system drains) and
+    clamped to the processors idle in the task's cluster at that
+    instant. A resize closes the current segment as a
     {!Mcs_check.Fault_check.Resized} execution record, releases its
     remaining ledger reservation, charges a redistribution overhead
     proportional to the processors moved, re-prices the remaining work
@@ -72,7 +77,7 @@
     through the fluid network model ({!Mcs_sim.Replay}) for simulated
     timings, exactly like offline schedules.
 
-    With {!Policy.static} and every arrival at time 0 the engine
+    With [Arrivals] rescheduling and every arrival at time 0 the engine
     reschedules exactly once over the full set, and its schedules
     coincide, placement for placement, with
     {!Mcs_sched.Pipeline.schedule_concurrent}. Running with an
@@ -117,35 +122,28 @@ val create :
   ?log:(Log.event -> unit) ->
   ?check:(Mcs_check.Diagnostic.t list -> unit) ->
   ?faults:Mcs_fault.Fault.scenario ->
-  ?kernel:Policy_kernel.t ->
   policy:Policy.t ->
   Mcs_platform.Platform.t ->
   (Mcs_ptg.Ptg.t * float) list ->
   session
-(** Fresh session over an initial (possibly empty) submission list:
-    arrival events are queued for every listed application, outage and
-    recovery events for the fault scenario, and nothing is processed
-    yet. The session's active kernel is [kernel] when given (its
-    embedded policy then governs every decision — the [policy] argument
-    is ignored in that case) and {!Policy_kernel.default}[ policy]
-    otherwise, which reproduces the pre-kernel engine bit for bit.
+(** Fresh session under [policy] over an initial (possibly empty)
+    submission list: arrival events are queued for every listed
+    application, outage and recovery events for the fault scenario, and
+    nothing is processed yet.
     @raise Invalid_argument on an ill-formed release time or fault
     scenario. *)
 
-val kernel : session -> Policy_kernel.t
-(** The active policy kernel. *)
+val policy : session -> Policy.t
+(** The active policy. *)
 
-val kernel_name : session -> string
-(** [Policy_kernel.name (kernel s)] — for reports and logs. *)
-
-val set_kernel : ?reschedule:bool -> session -> Policy_kernel.t -> unit
-(** Swap the active kernel at the session's current virtual time — the
-    engine consults the new kernel for every subsequent trigger,
-    backoff, shrink and allocation decision. If the new kernel's
+val set_policy : ?reschedule:bool -> session -> Policy.t -> unit
+(** Swap the active policy at the session's current virtual time — the
+    engine consults the new policy for every subsequent trigger,
+    backoff, shrink and allocation decision. If the new policy's
     allocation {e procedure} differs, every application's trajectory
     cache is released first (trajectories are procedure-bound).
     [reschedule] (default [false]) additionally forces an immediate
-    recomputation under the new kernel, logged with trigger
+    recomputation under the new policy, logged with trigger
     ["policy_swap"] — the live half of an adopted {!what_if}. *)
 
 val app_completed : session -> int -> bool
@@ -204,9 +202,9 @@ type snapshot
 (** A deep, self-contained copy of a session's whole mutable world:
     state (placements, fault bookkeeping, per-application allocation
     caches, ledger, liveness mask), event queue (insertion sequence
-    included) and active kernel. Immutable structure is shared — PTGs
-    (the caches bind to them by physical equality), the kernel (a
-    record of closures) and the fault scenario (outage list plus a
+    included) and active policy. Immutable structure is shared — PTGs
+    (the caches bind to them by physical equality), the policy (an
+    immutable value) and the fault scenario (outage list plus a
     {e pure} pre-rolled failure function of the seed; there is no
     mutable PRNG stream to capture).
 
@@ -240,22 +238,22 @@ val audit : session -> Mcs_check.Diagnostic.t list
     active application has revoked placements (mid-blackout there is no
     generation to audit). Meaningful on any quiescent-between-events
     session; the snapshot/restore tests audit restored sessions with
-    it. Most useful under the default kernel, whose trigger set keeps β
-    current whenever the active set changes. *)
+    it. Most useful under [Departures] rescheduling or finer, which
+    keeps β current whenever the active set changes. *)
 
 type speculation = {
-  adopted : bool;  (** the candidate won and is now the live kernel *)
-  baseline_makespan : float;  (** incumbent kernel, clone run *)
-  candidate_makespan : float;  (** candidate kernel, clone run *)
+  adopted : bool;  (** the candidate won and is now the live policy *)
+  baseline_makespan : float;  (** incumbent policy, clone run *)
+  candidate_makespan : float;  (** candidate policy, clone run *)
 }
 
-val what_if : session -> Policy_kernel.t -> speculation
+val what_if : session -> Policy.t -> speculation
 (** Speculative rescheduling: clone the session twice
-    ({!snapshot}/{!restore}), run the incumbent kernel and the
+    ({!snapshot}/{!restore}), run the incumbent policy and the
     candidate (the latter with an immediate ["policy_swap"] remap) to
     quiescence over everything currently queued, and compare makespans
     (latest completion). The candidate is adopted on the live session —
-    {!set_kernel} with an immediate remap — {e only} if it strictly
+    {!set_policy} with an immediate remap — {e only} if it strictly
     improves the makespan; otherwise the live session is left exactly
     as it was. The clones are silent and isolated: no log, no checker,
     no effect on the live run beyond the adoption decision. *)
@@ -264,7 +262,6 @@ val run :
   ?log:(Log.event -> unit) ->
   ?check:(Mcs_check.Diagnostic.t list -> unit) ->
   ?faults:Mcs_fault.Fault.scenario ->
-  ?kernel:Policy_kernel.t ->
   policy:Policy.t ->
   Mcs_platform.Platform.t ->
   (Mcs_ptg.Ptg.t * float) list ->

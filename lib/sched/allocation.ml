@@ -244,9 +244,10 @@ let check_beta beta =
   if beta <= 0. || beta > 1. then
     invalid_arg (Printf.sprintf "Allocation.allocate: beta = %g" beta)
 
-let allocate_into ?(procedure = Scrap_max) ?up_counts ~arena ref_cluster
-    platform ~beta ptg =
+let allocate ?(procedure = Scrap_max) ?up_counts ref_cluster platform ~beta
+    ptg =
   check_beta beta;
+  let arena = Alloc_arena.create () in
   Obs.with_span "alloc.scrap" @@ fun () ->
   Obs.incr c_calls;
   let dag = ptg.Ptg.dag in
@@ -283,10 +284,6 @@ let allocate_into ?(procedure = Scrap_max) ?up_counts ~arena ref_cluster
     critical_path = cp;
     average_area = area /. beta_power;
   }
-
-let allocate ?procedure ?up_counts ref_cluster platform ~beta ptg =
-  allocate_into ?procedure ?up_counts ~arena:(Alloc_arena.create ())
-    ref_cluster platform ~beta ptg
 
 (* ---------------- Allocation cache ----------------
 

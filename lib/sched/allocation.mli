@@ -25,9 +25,9 @@
     (DESIGN.md §14). Two mechanisms remove that cost without changing a
     single allocation:
 
-    - {b arenas} ({!Alloc_arena.t}): {!allocate_into} reuses
-      caller-owned scratch buffers across calls, so the loop itself
-      performs no per-call buffer allocation;
+    - {b arenas} ({!Alloc_arena.t}): {!allocate_cached} runs the loop
+      on caller-owned scratch buffers reused across calls, so the loop
+      itself performs no per-call buffer allocation;
     - {b caching} ({!allocate_cached}): the increment trajectory of the
       loop depends on β only through the {e integer} per-level budget
       [⌊β·procs⌋] (and the allocation cap), while β proper only decides
@@ -75,22 +75,6 @@ val allocate :
     [up_counts] is given (degraded platform; see
     {!Mcs_platform.Platform.up_counts}). Pure: allocates its own
     scratch; offline callers and one-shot uses should prefer it.
-    @raise Invalid_argument unless [0 < beta <= 1]. *)
-
-val allocate_into :
-  ?procedure:procedure ->
-  ?up_counts:int array ->
-  arena:Alloc_arena.t ->
-  Reference_cluster.t ->
-  Mcs_platform.Platform.t ->
-  beta:float ->
-  Mcs_ptg.Ptg.t ->
-  result
-(** Exactly {!allocate}, but running the loop on the arena's reusable
-    scratch buffers instead of fresh arrays — same result, field for
-    field, with no per-call buffer allocation beyond the returned
-    [procs]. The arena is single-owner state: never share one across
-    domains (each serving shard owns its own through its engine).
     @raise Invalid_argument unless [0 < beta <= 1]. *)
 
 type cache
@@ -179,8 +163,9 @@ val allocate_cached :
     intervals cover the request, and at the cost of only the divergent
     tail otherwise. The returned [procs] array is owned by the cache on
     the exact-hit path and must not be mutated by the caller (the
-    engine's shrink-on-retry derives a copy). Updates the
-    [alloc.cache.*] observability counters.
+    engine's shrink-on-retry derives a copy). The loop runs on the
+    arena's reusable scratch buffers (single-owner: see {!Alloc_arena}).
+    Updates the [alloc.cache.*] observability counters.
     @raise Invalid_argument unless [0 < beta <= 1], or if the cache is
     reused with a different PTG, procedure or reference speed. *)
 

@@ -20,8 +20,8 @@
 
     Width bounds ([min_width], [max_width]) bound any resized segment;
     the trigger thresholds ([shrink_active_above], [grow_active_below])
-    parameterize the default policy-kernel decision of {e when} to
-    resize. The model itself is pure and engine-agnostic. *)
+    decide {e when} to resize. The model itself is pure and
+    engine-agnostic. *)
 
 type t = {
   quantum : float;  (** grid spacing of legal resize points, seconds *)
@@ -29,9 +29,9 @@ type t = {
   min_width : int;  (** no resized segment runs on fewer processors *)
   max_width : int;  (** no resized segment runs on more processors *)
   shrink_active_above : int;
-      (** default trigger: shrink while more applications are active *)
+      (** trigger: shrink while more applications are active *)
   grow_active_below : int;
-      (** default trigger: grow while fewer applications are active *)
+      (** trigger: grow while fewer applications are active *)
 }
 
 val default : t
@@ -56,7 +56,7 @@ val resize_cost : t -> moved:int -> float
     releases plus acquires [moved] processors in total. *)
 
 val target_width : t -> active:int -> width:int -> cap:int -> int
-(** The default trigger decision for a segment currently [width] wide
+(** The trigger decision for a segment currently [width] wide
     while [active] applications are in the system: halve under an
     arrival spike ([active > shrink_active_above]), double when the
     platform drains ([active < grow_active_below]), hold otherwise.

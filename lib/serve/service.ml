@@ -16,7 +16,6 @@ type config = {
   router : Router.choice;
   admission : Admission.t;
   policy : Policy.t;
-  kernel : string;
   checkpoint_every : int;
   kill : (int * int) option;
   capture_logs : bool;
@@ -31,8 +30,9 @@ let default_config =
     mode = Domains;
     router = Router.Least_work;
     admission = Admission.default;
-    policy = Policy.static (Mcs_sched.Strategy.Weighted (Mcs_sched.Strategy.Work, 0.7));
-    kernel = "default";
+    policy =
+      Policy.make ~rescheduling:Policy.Arrivals
+        (Mcs_sched.Strategy.Weighted (Mcs_sched.Strategy.Work, 0.7));
     checkpoint_every = 0;
     kill = None;
     capture_logs = false;
@@ -102,7 +102,6 @@ let create config platform =
         in
         Shard.make ~index:k ~platform:sub ~clusters
           ~admission:config.admission ~policy:config.policy
-          ~kernel_name:config.kernel
           ~checkpoint_every:config.checkpoint_every ~crash_after
           ~capture_log:config.capture_logs ~check:config.check ~faults)
       parts
@@ -296,6 +295,8 @@ let close t =
   build_report t
 
 let run_stream ?(rate = 0.) config platform apps =
+  if Float.is_nan rate || rate < 0. then
+    invalid_arg "Service.run_stream: rate must be non-negative";
   Obs.with_span "serve.run" @@ fun () ->
   let t = create config platform in
   List.iter

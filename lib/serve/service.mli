@@ -8,7 +8,9 @@
     ({!Squeue}) with admission control and backpressure per
     {!Admission}, cross-shard hand-offs are explicit messages, and
     shards synchronise with the submitting caller only through the
-    watermark protocol (see {!Shard}).
+    watermark protocol (see {!Shard}). Every shard's engine runs under
+    the config's one {!Mcs_online.Policy.t}: the policy is plain data,
+    so all shards share the value.
 
     {b Determinism.} In [Inline] mode (single-domain fallback) the whole
     service runs on the caller's domain — pickups happen when a mailbox
@@ -38,11 +40,7 @@ type config = {
   mode : mode;
   router : Router.choice;
   admission : Admission.t;
-  policy : Mcs_online.Policy.t;
-  kernel : string;
-      (** policy-kernel registry name over [policy]
-          ({!Mcs_online.Policy_kernel.of_name}); ["default"] runs the
-          policy as-is *)
+  policy : Mcs_online.Policy.t;  (** every shard's engine runs under it *)
   checkpoint_every : int;
       (** [> 0]: checkpoint every shard every that-many injections
           (plus once at creation) — engine snapshot + bookkeeping +
@@ -63,9 +61,9 @@ type config = {
 
 val default_config : config
 (** 4 shards, [Domains], [Least_work] routing, {!Admission.default},
-    {!Mcs_online.Policy.static} scheduling (arrival-only reschedules —
-    the serving default; dynamic policies are opt-in), ["default"]
-    kernel, no checkpoints, no kill, no logs, no checker, no faults. *)
+    static-β scheduling ([Arrivals] rescheduling — the serving default;
+    dynamic policies are opt-in), no checkpoints, no kill, no logs, no
+    checker, no faults. *)
 
 type outcome =
   | Admitted of int  (** accepted, routed to the returned shard *)
@@ -116,7 +114,8 @@ val run_stream :
 (** [create] + one {!submit} per PTG (list order; releases must be
     nondecreasing) + {!close}, wrapped in the ["serve.run"] observation
     span. [rate > 0.] paces submissions at that many per wall-clock
-    second — the workload-driver knob of [bin/mcs_serve]. *)
+    second — the workload-driver knob of [bin/mcs_serve].
+    @raise Invalid_argument on a negative or NaN [rate]. *)
 
 val merged_log : report -> (int * Mcs_online.Log.event) list
 (** The shard logs relabelled to global submission ids and sort-merged

@@ -145,8 +145,8 @@ let take_checkpoint t =
       };
   t.journal <- []
 
-let make ~index ~platform ~clusters ~admission ~policy ~kernel_name
-    ~checkpoint_every ~crash_after ~capture_log ~check ~faults =
+let make ~index ~platform ~clusters ~admission ~policy ~checkpoint_every
+    ~crash_after ~capture_log ~check ~faults =
   if checkpoint_every < 0 then
     invalid_arg "Shard.make: checkpoint_every < 0";
   let load_gauge = Atomic.make 0. in
@@ -176,9 +176,8 @@ let make ~index ~platform ~clusters ~admission ~policy ~kernel_name
                   diags_rev := d :: !diags_rev)
               errs)
   in
-  let kernel = Mcs_online.Policy_kernel.of_name kernel_name ~base:policy in
   let session =
-    Engine.create ~log ?check:check_sink ?faults ~kernel ~policy platform []
+    Engine.create ~log ?check:check_sink ?faults ~policy platform []
   in
   let t =
     {

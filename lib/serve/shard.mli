@@ -4,7 +4,9 @@
     {!Mcs_online.Engine.session} exclusively — no other domain ever
     touches either. All communication is message passing through the
     shard's {!Squeue}: the router pushes submissions, peers push
-    hand-offs, and the shard alone drains, injects and steps. β is
+    hand-offs, and the shard alone drains, injects and steps. The
+    session runs under the service's {!Mcs_online.Policy.t}, shared by
+    every shard (it is immutable). β is
     recomputed per shard over that shard's active set only, which is
     exactly the paper's resource-constraint computation applied to the
     shard's sub-platform.
@@ -64,7 +66,6 @@ val make :
   clusters:int array ->
   admission:Admission.t ->
   policy:Mcs_online.Policy.t ->
-  kernel_name:string ->
   checkpoint_every:int ->
   crash_after:int option ->
   capture_log:bool ->
@@ -72,15 +73,13 @@ val make :
   faults:Mcs_fault.Fault.scenario option ->
   t
 (** A fresh shard over its sub-platform, mailbox capacity and fault
-    scenario per the arguments. The engine runs under
-    {!Mcs_online.Policy_kernel.of_name}[ kernel_name ~base:policy]
-    (["default"] reproduces the plain policy). [checkpoint_every > 0]
-    checkpoints the shard every that-many injections (plus once at
-    creation); [crash_after = Some n] scripts a crash of the serving
-    loop after at least [n] injections (see {!restore_crashed}). Peers
-    must be installed with {!set_peers} before any pickup can shed.
-    @raise Invalid_argument on a negative [checkpoint_every] or an
-    unknown kernel name. *)
+    scenario per the arguments; the engine runs under [policy].
+    [checkpoint_every > 0] checkpoints the shard every that-many
+    injections (plus once at creation); [crash_after = Some n] scripts
+    a crash of the serving loop after at least [n] injections (see
+    {!restore_crashed}). Peers must be installed with {!set_peers}
+    before any pickup can shed.
+    @raise Invalid_argument on a negative [checkpoint_every]. *)
 
 val set_peers : t -> t array -> unit
 (** Install the full shard array (self included) — hand-off targets. *)

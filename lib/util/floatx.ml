@@ -1,6 +1,6 @@
 let eps = 1e-9
 
-let time_floor = 1000. *. eps
+let time_floor = 1e-6
 
 let approx_eq ?(tol = eps) a b =
   let d = Float.abs (a -. b) in

@@ -8,7 +8,8 @@ val eps : float
 val time_floor : float
 (** Smallest accepted value of a time parameter that spaces engine
     events — the malleability resize quantum, a fault process's MTTF and
-    MTTR: [1000 × eps] (1 µs). Closer to [eps], the instants such a
+    MTTR: 1 µs, i.e. [1000 × eps] (written as the literal [1e-6]: the
+    product rounds one ulp above it). Closer to [eps], the instants such a
     parameter generates fall inside one tolerance-merged batch and
     virtual time can stop advancing. *)
 

@@ -124,9 +124,6 @@ let is_free t ~proc ~start ~finish =
     i = line.len || line.starts.(i) >= finish -. eps
   end
 
-let free_at t ~proc ~at ~duration =
-  is_free t ~proc ~start:at ~finish:(at +. duration)
-
 let next_candidates ?procs_subset t ~after =
   let ends = ref [ after ] in
   let add_line line =
@@ -168,7 +165,8 @@ let find_slot ?procs_subset t ~count ~duration ~after =
       | start :: rest ->
         let free =
           Array.to_list candidates_procs
-          |> List.filter (fun p -> free_at t ~proc:p ~at:start ~duration)
+          |> List.filter (fun p ->
+                 is_free t ~proc:p ~start ~finish:(start +. duration))
         in
         if List.length free >= count then begin
           (* Best fit: latest previous reservation end first. *)

@@ -200,13 +200,9 @@ let test_online_clean () =
       let platform = Grid5000.lille () in
       let rng = Prng.create ~seed:11 in
       let ptgs = Workload.draw rng Workload.Random_mixed_scenarios ~count:5 in
-      let clock = ref 0. in
       let apps =
-        List.mapi
-          (fun i ptg ->
-            if i > 0 then clock := !clock +. Prng.exponential rng ~mean:40.;
-            (ptg, !clock))
-          ptgs
+        List.combine ptgs
+          (Array.to_list (Workload.poisson_releases rng ~mean:40. ~count:5))
       in
       let generations = ref 0 in
       let check diags =

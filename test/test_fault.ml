@@ -316,13 +316,11 @@ let apps_of n seed ~mean =
     List.init n (fun id ->
         Mcs_ptg.Random_gen.generate ~id rng Mcs_ptg.Random_gen.default)
   in
-  let arrivals = Prng.create ~seed:(seed + 1) in
-  let clock = ref 0. in
-  List.mapi
-    (fun i ptg ->
-      if i > 0 then clock := !clock +. Prng.exponential arrivals ~mean;
-      (ptg, !clock))
-    ptgs
+  List.combine ptgs
+    (Array.to_list
+       (Mcs_experiments.Workload.poisson_releases
+          (Prng.create ~seed:(seed + 1))
+          ~mean ~count:n))
 
 let run_logged ?faults ?policy platform apps =
   let policy =

@@ -15,14 +15,9 @@ let random_ptgs n seed =
       Mcs_ptg.Random_gen.generate ~id rng Mcs_ptg.Random_gen.default)
 
 let poisson_releases n seed ~mean =
-  let rng = Prng.create ~seed in
-  let clock = ref 0. in
-  List.init n (fun i ->
-      if i = 0 then 0.
-      else begin
-        clock := !clock +. Prng.exponential rng ~mean;
-        !clock
-      end)
+  Array.to_list
+    (Mcs_experiments.Workload.poisson_releases (Prng.create ~seed) ~mean
+       ~count:n)
 
 let workload n seed ~mean =
   List.combine (random_ptgs n seed) (poisson_releases n (seed + 1) ~mean)
@@ -106,7 +101,9 @@ let test_offline_equivalence_at_zero () =
       let ptgs = random_ptgs 4 11 in
       let apps = List.map (fun p -> (p, 0.)) ptgs in
       let offline = Pipeline.schedule_concurrent ~strategy platform ptgs in
-      let r = Engine.run ~policy:(Policy.static strategy) platform apps in
+      let r = Engine.run
+          ~policy:(Policy.make ~rescheduling:Policy.Arrivals strategy)
+          platform apps in
       check_same_schedules
         (Strategy.name strategy)
         offline r.Engine.schedules;
@@ -329,7 +326,7 @@ let test_alloc_cache_transparent_faults () =
     || off.Engine.stats.Engine.task_failures > 0);
   check_cache_transparent "faults" off on_
 
-(* ---------- Policy kernel, snapshot/restore, speculation ---------- *)
+(* ---------- Policy, snapshot/restore, speculation ---------- *)
 
 let makespan (r : Engine.result) =
   Array.fold_left
@@ -352,13 +349,10 @@ let fault_scenario_for platform seed =
     }
 
 (* Uninterrupted run: one session, straight to quiescence. *)
-let run_plain ?faults ~kernel platform apps =
+let run_plain ?faults ~policy platform apps =
   let logs = ref [] in
   let log e = logs := Log.to_json e :: !logs in
-  let s =
-    Engine.create ~log ?faults ~kernel ~policy:kernel.Policy_kernel.policy
-      platform apps
-  in
+  let s = Engine.create ~log ?faults ~policy platform apps in
   Engine.advance s;
   (List.rev !logs, Engine.result s)
 
@@ -366,13 +360,10 @@ let run_plain ?faults ~kernel platform apps =
    session and finish on a restore of the snapshot. The log sink is
    handed to the restored session, so the combined stream must equal
    the uninterrupted one bit for bit. *)
-let run_split ?faults ~kernel ~split platform apps =
+let run_split ?faults ~policy ~split platform apps =
   let logs = ref [] in
   let log e = logs := Log.to_json e :: !logs in
-  let s =
-    Engine.create ~log ?faults ~kernel ~policy:kernel.Policy_kernel.policy
-      platform apps
-  in
+  let s = Engine.create ~log ?faults ~policy platform apps in
   Engine.advance ~upto:split s;
   let s' = Engine.restore ~log (Engine.snapshot s) in
   Engine.advance s';
@@ -386,32 +377,25 @@ let same_outcome (l0, r0) (l1, r1) =
 let test_snapshot_restore_identical () =
   let platform = Grid5000.rennes () in
   let apps = workload 6 21 ~mean:25. in
-  let kernel =
-    Policy_kernel.default
-      (Policy.make (Strategy.Weighted (Strategy.Work, 0.7)))
-  in
-  let plain = run_plain ~kernel platform apps in
+  let policy = Policy.make (Strategy.Weighted (Strategy.Work, 0.7)) in
+  let plain = run_plain ~policy platform apps in
   List.iter
     (fun split ->
       Alcotest.(check bool)
         (Printf.sprintf "split at %g replays the uninterrupted log" split)
         true
-        (same_outcome plain (run_split ~kernel ~split platform apps)))
+        (same_outcome plain (run_split ~policy ~split platform apps)))
     [ 0.; 40.; 90.; 1e12 ]
 
 let test_snapshot_restore_identical_faults () =
   let platform = Grid5000.rennes () in
   let apps = workload 6 77 ~mean:20. in
   let faults = fault_scenario_for platform 5 in
-  let kernel =
-    Policy_kernel.of_name "shrink-retry"
-      ~base:
-        (Policy.make
-           ~faults:
-             { Policy.default_faults with Policy.shrink_on_retry = true }
-           (Strategy.Weighted (Strategy.Work, 0.7)))
+  let policy =
+    Policy.preset "shrink-retry"
+      (Policy.make (Strategy.Weighted (Strategy.Work, 0.7)))
   in
-  let plain = run_plain ~faults ~kernel platform apps in
+  let plain = run_plain ~faults ~policy platform apps in
   Alcotest.(check bool)
     "scenario exercises faults" true
     ((snd plain).Engine.stats.Engine.kills > 0
@@ -421,7 +405,7 @@ let test_snapshot_restore_identical_faults () =
       Alcotest.(check bool)
         (Printf.sprintf "faulted split at %g is bit-identical" split)
         true
-        (same_outcome plain (run_split ~faults ~kernel ~split platform apps)))
+        (same_outcome plain (run_split ~faults ~policy ~split platform apps)))
     [ 30.; 120. ]
 
 let strategies =
@@ -447,21 +431,14 @@ let qcheck_snapshot_restore =
         if faulted then Some (fault_scenario_for platform (seed + 7))
         else None
       in
-      let kernel =
-        Policy_kernel.of_name
+      let policy =
+        Policy.preset
           (if faulted then "shrink-retry" else "default")
-          ~base:
-            (Policy.make
-               ~faults:
-                 {
-                   Policy.default_faults with
-                   Policy.shrink_on_retry = faulted;
-                 }
-               (List.nth strategies strat_i))
+          (Policy.make (List.nth strategies strat_i))
       in
-      let plain = run_plain ?faults ~kernel platform apps in
+      let plain = run_plain ?faults ~policy platform apps in
       let split = float_of_int percent /. 100. *. makespan (snd plain) in
-      same_outcome plain (run_split ?faults ~kernel ~split platform apps))
+      same_outcome plain (run_split ?faults ~policy ~split platform apps))
 
 let test_policy_swap_deterministic () =
   let platform = Grid5000.rennes () in
@@ -472,14 +449,13 @@ let test_policy_swap_deterministic () =
     let log e = logs := Log.to_json e :: !logs in
     let check ds = errors := !errors + List.length (Mcs_check.Diagnostic.errors ds) in
     let s =
-      Engine.create ~log ~check
-        ~kernel:(Policy_kernel.of_name "static" ~base:policy)
-        ~policy platform apps
+      Engine.create ~log ~check ~policy:(Policy.preset "static" policy)
+        platform apps
     in
     Engine.advance ~upto:60. s;
-    Engine.set_kernel ~reschedule:true s
-      (Policy_kernel.of_name "eager" ~base:policy);
-    Alcotest.(check string) "kernel swapped" "eager" (Engine.kernel_name s);
+    Engine.set_policy ~reschedule:true s (Policy.preset "eager" policy);
+    Alcotest.(check string)
+      "policy swapped" "eager" (Engine.policy s).Policy.name;
     Engine.advance s;
     (List.rev !logs, Engine.result s, !errors)
   in
@@ -499,29 +475,28 @@ let test_what_if_speculation () =
   let apps = workload 6 11 ~mean:20. in
   let policy = Policy.make (Strategy.Weighted (Strategy.Work, 0.7)) in
   let s =
-    Engine.create
-      ~kernel:(Policy_kernel.of_name "static" ~base:policy)
-      ~policy platform apps
+    Engine.create ~policy:(Policy.preset "static" policy) platform apps
   in
   Engine.advance ~upto:30. s;
   (* A candidate identical to the incumbent ties and is never adopted:
      adoption demands strict improvement. *)
-  let same = Engine.what_if s (Policy_kernel.of_name "static" ~base:policy) in
+  let same = Engine.what_if s (Policy.preset "static" policy) in
   Alcotest.(check bool) "identical candidate not adopted" false
     same.Engine.adopted;
   Alcotest.(check bool)
     "identical candidate ties bit for bit" true
     (Float.equal same.Engine.baseline_makespan same.Engine.candidate_makespan);
-  Alcotest.(check string) "incumbent kept" "static" (Engine.kernel_name s);
-  (* Dynamic rescheduling vs the static kernel on a contended stream. *)
-  let sp = Engine.what_if s (Policy_kernel.of_name "default" ~base:policy) in
+  Alcotest.(check string)
+    "incumbent kept" "static" (Engine.policy s).Policy.name;
+  (* Dynamic rescheduling vs the static policy on a contended stream. *)
+  let sp = Engine.what_if s (Policy.preset "dynamic" policy) in
   Alcotest.(check bool)
     "adopted iff strictly better" sp.Engine.adopted
     (sp.Engine.candidate_makespan < sp.Engine.baseline_makespan);
   Alcotest.(check string)
-    "live kernel reflects the decision"
-    (if sp.Engine.adopted then "default" else "static")
-    (Engine.kernel_name s);
+    "live policy reflects the decision"
+    (if sp.Engine.adopted then "dynamic" else "static")
+    (Engine.policy s).Policy.name;
   (* The speculation's clones predict the live run exactly: finishing
      the session reproduces the chosen clone's makespan bit for bit. *)
   Engine.advance s;
@@ -550,13 +525,12 @@ let test_departure_scoped_invalidation () =
       if not (Float.is_finite !first_departure) then first_departure := time
     | _ -> ()
   in
-  let kernel = Policy_kernel.default policy in
-  let s = Engine.create ~log ~kernel ~policy platform apps in
+  let s = Engine.create ~log ~policy platform apps in
   Engine.advance s;
   Alcotest.(check bool)
     "probe saw a departure" true
     (Float.is_finite !first_departure);
-  let s = Engine.create ~kernel ~policy platform apps in
+  let s = Engine.create ~policy platform apps in
   Engine.advance ~upto:!first_departure s;
   Alcotest.(check int) "all applications arrived" 5 (Engine.active_count s);
   let h1, r1, m1 = Engine.alloc_cache_stats s in
@@ -592,9 +566,7 @@ let test_audit_restored_session () =
   let platform = Grid5000.rennes () in
   let apps = workload 6 55 ~mean:25. in
   let policy = Policy.make (Strategy.Weighted (Strategy.Work, 0.7)) in
-  let s =
-    Engine.create ~kernel:(Policy_kernel.default policy) ~policy platform apps
-  in
+  let s = Engine.create ~policy platform apps in
   Engine.advance ~upto:80. s;
   Alcotest.(check bool) "mid-run session is busy" true
     (Engine.active_count s > 0);
@@ -607,29 +579,43 @@ let test_audit_restored_session () =
     (List.length (Mcs_check.Diagnostic.errors (Engine.audit s')))
 
 let test_policy_flags_and_kernel_registry () =
-  Alcotest.check_raises "finish-trigger without departure-trigger"
-    (Invalid_argument
-       "Policy.make: reschedule_on_task_finish without \
-        reschedule_on_departure")
-    (fun () ->
-      ignore
-        (Policy.make ~reschedule_on_departure:false
-           ~reschedule_on_task_finish:true Strategy.Equal_share));
-  let p = Policy.static Strategy.Equal_share in
+  let p = Policy.make Strategy.Equal_share in
   Alcotest.(check bool)
-    "static disables both triggers" false
-    (p.Policy.reschedule_on_departure || p.Policy.reschedule_on_task_finish);
+    "make defaults to departure rescheduling, exponential backoff" true
+    (p.Policy.rescheduling = Policy.Departures
+    && p.Policy.faults = Policy.default_faults
+    && p.Policy.name = "default");
+  let levels =
+    List.map
+      (fun name -> (Policy.preset name p).Policy.rescheduling)
+      [ "static"; "dynamic"; "eager" ]
+  in
+  Alcotest.(check bool)
+    "static/dynamic/eager set the rescheduling level" true
+    (levels = [ Policy.Arrivals; Policy.Departures; Policy.Task_finishes ]);
+  (* Presets compose left to right, each overriding its own field. *)
+  let q = Policy.preset "shrink-retry" (Policy.preset "static" p) in
+  Alcotest.(check bool)
+    "presets compose" true
+    (q.Policy.rescheduling = Policy.Arrivals
+    && q.Policy.faults.Policy.shrink_on_retry
+    && q.Policy.name = "shrink-retry");
+  let delays p = List.map (fun k -> Policy.backoff p ~failures:k) [ 1; 2; 3 ] in
+  Alcotest.(check (list (float 0.)))
+    "exponential backoff" [ 5.; 10.; 20. ] (delays p);
+  Alcotest.(check (list (float 0.)))
+    "linear backoff" [ 5.; 10.; 15. ]
+    (delays (Policy.preset "linear-backoff" p));
   List.iter
     (fun name ->
       Alcotest.(check string)
         (Printf.sprintf "registry round-trips %S" name)
-        name
-        (Policy_kernel.of_name name ~base:p).Policy_kernel.name)
-    Policy_kernel.names;
+        name (Policy.preset name p).Policy.name)
+    Policy.presets;
   Alcotest.(check bool)
-    "unknown kernel rejected" true
+    "unknown policy rejected" true
     (try
-       ignore (Policy_kernel.of_name "nope" ~base:p);
+       ignore (Policy.preset "nope" p);
        false
      with Invalid_argument _ -> true)
 

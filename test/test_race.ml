@@ -19,14 +19,11 @@ let random_ptgs n seed =
       Mcs_ptg.Random_gen.generate ~id rng Mcs_ptg.Random_gen.default)
 
 let workload n seed ~mean =
-  let rng = Prng.create ~seed:(seed + 1) in
-  let clock = ref 0. in
-  List.map
-    (fun ptg ->
-      let r = !clock in
-      clock := !clock +. Prng.exponential rng ~mean;
-      (ptg, r))
-    (random_ptgs n seed)
+  List.combine (random_ptgs n seed)
+    (Array.to_list
+       (Mcs_experiments.Workload.poisson_releases
+          (Prng.create ~seed:(seed + 1))
+          ~mean ~count:n))
 
 (* --- happens-before: serve stack is clean -------------------------- *)
 

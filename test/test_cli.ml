@@ -154,11 +154,11 @@ let suite =
       [
         Alcotest.test_case "online golden log byte-identical" `Quick
           test_online_golden_log;
-        Alcotest.test_case "policy presets match the removed switches"
-          `Quick test_presets_match_removed_switches;
         Alcotest.test_case "--count 0 refused with exit 2" `Quick
           test_count_zero_refused;
         Alcotest.test_case "too-small time parameters refused" `Quick
           test_tiny_time_parameters_refused;
+        Alcotest.test_case "policy presets match the removed switches"
+          `Quick test_presets_match_removed_switches;
       ] );
   ]

@@ -1,10 +1,12 @@
 (* Benchmark & reproduction harness.
 
    - `dune exec bench/main.exe` runs everything: Table 1, Figures 1-5,
-     the extra experiments X1-X6 (see DESIGN.md section 5) and the
+     the extra experiments X1-X9 (the experiment registry, DESIGN.md
+     section 5), the online and serving throughput runs and the
      bechamel microbenchmarks of the kernels behind each figure.
-   - `dune exec bench/main.exe -- fig3` runs a single artefact
-     (table1, fig1..fig5, x1..x6, micro).
+   - `dune exec bench/main.exe -- fig3` runs a single artefact (a
+     registry id such as table1, fig1..fig5, x1..x9, or one of the
+     bench-only online, serve, micro); `compare` gates two baselines.
    - The MCS_RUNS environment variable scales the number of scenario
      combinations per point (the paper uses 25). *)
 
@@ -766,64 +768,46 @@ let run_micro () =
 
 (* ---------- Experiment dispatch ---------- *)
 
-let artefacts =
+(* The paper's artefacts come from the experiment registry; these are
+   the bench-only entries, looked up first. *)
+let bench_only =
   [
-    ("table1", fun () -> Mcs_util.Table.print (E.Table1.table ()));
-    ("fig1", fun () -> print_tables (E.Fig_ready_vs_global.tables ()));
-    ("fig2", fun () -> print_tables (E.Fig_mu_sweep.figure2 ()));
-    ("fig3", fun () -> print_tables (E.Fig_strategies.figure3 ()));
-    ("fig4", fun () -> print_tables (E.Fig_strategies.figure4 ()));
-    ("fig5", fun () -> print_tables (E.Fig_strategies.figure5 ()));
-    ("x1", fun () -> Mcs_util.Table.print (E.Exp_constraint.table ()));
-    ("x2", fun () -> Mcs_util.Table.print (E.Exp_ablation.packing_table ()));
-    ("x3", fun () -> Mcs_util.Table.print (E.Exp_ablation.procedure_table ()));
-    ("x4", fun () -> Mcs_util.Table.print (E.Exp_validation.table ()));
-    ("x5", fun () -> Mcs_util.Table.print (E.Exp_arrivals.table ()));
-    ("x6", fun () -> Mcs_util.Table.print (E.Exp_single_ptg.table ()));
-    ("x7", fun () -> Mcs_util.Table.print (E.Exp_online.table ()));
-    ("x8", fun () -> Mcs_util.Table.print (E.Exp_faults.table ()));
-    ("x9", fun () -> Mcs_util.Table.print (E.Exp_malleable.table ()));
-    ("online", run_online);
-    ("serve", run_serve);
-    ("micro", run_micro);
+    ( "online",
+      Some "Online engine — event throughput and rescheduling cost",
+      run_online );
+    ("serve", Some "Serving engine — sharded multi-tenant throughput", run_serve);
+    ("micro", None, run_micro);
   ]
 
-let titles =
-  [
-    ("table1", "Table 1 — platform subsets");
-    ("fig1", "Figure 1 — ready-task vs global ordering");
-    ("fig2", "Figure 2 — mu sweep for WPS-work (random PTGs)");
-    ("fig3", "Figure 3 — 8 strategies on random PTGs");
-    ("fig4", "Figure 4 — 8 strategies on FFT PTGs");
-    ("fig5", "Figure 5 — 6 strategies on Strassen PTGs");
-    ("x1", "X1 — constraint satisfaction audit (Section 4's 99% claim)");
-    ("x2", "X2 — ablation: allocation packing");
-    ("x3", "X3 — ablation: SCRAP vs SCRAP-MAX");
-    ("x4", "X4 — validation: estimated vs simulated makespans");
-    ("x5", "X5 — extension: staggered submission times (future work, Section 8)");
-    ("x6", "X6 — extension: single-PTG algorithm families (HEFT / M-HEFT / HCPA)");
-    ("x7", "X7 — extension: online dynamic β vs offline approximation");
-    ("x8", "X8 — extension: fault injection across the eight β strategies");
-    ("x9", "X9 — extension: malleable vs moldable execution under bursts");
-    ("online", "Online engine — event throughput and rescheduling cost");
-    ("serve", "Serving engine — sharded multi-tenant throughput");
-    ("micro", "Microbenchmarks");
-  ]
+let ids =
+  List.map (fun e -> e.E.Registry.id) E.Registry.all
+  @ List.map (fun (name, _, _) -> name) bench_only
+
+let runs () =
+  try E.Sweep.runs_from_env ()
+  with Invalid_argument m ->
+    prerr_endline m;
+    exit 2
 
 let run_one id =
-  match List.assoc_opt id artefacts with
-  | Some f ->
-    (match List.assoc_opt id titles with
-    | Some t when id <> "micro" -> section t
-    | Some _ | None -> ());
+  let timed ?title f =
+    Option.iter section title;
     let t0 = Unix.gettimeofday () in
     f ();
     Printf.printf "[%s done in %.1f s]\n\n%!" id (Unix.gettimeofday () -. t0)
-  | None ->
-    prerr_endline
-      ("unknown artefact " ^ id ^ "; use one of: "
-      ^ String.concat " " (List.map fst artefacts));
-    exit 2
+  in
+  match List.find_opt (fun (name, _, _) -> name = id) bench_only with
+  | Some (_, title, f) -> timed ?title f
+  | None -> (
+    match E.Registry.find id with
+    | Some e ->
+      let runs = runs () in
+      timed ~title:e.E.Registry.title (fun () ->
+          print_tables (e.E.Registry.run ~runs))
+    | None ->
+      prerr_endline
+        ("unknown artefact " ^ id ^ "; use one of: " ^ String.concat " " ids);
+      exit 2)
 
 let () =
   match Array.to_list Sys.argv with
@@ -836,5 +820,5 @@ let () =
     Printf.printf
       "Full reproduction run (MCS_RUNS=%d combinations per point; set \
        MCS_RUNS to scale).\n\n%!"
-      (E.Sweep.runs_from_env ());
-    List.iter (fun (id, _) -> run_one id) artefacts
+      (runs ());
+    List.iter run_one ids

@@ -1,49 +1,55 @@
 (* Experiment CLI: regenerate any table/figure of the paper (and the
-   repo's extra experiments) by id. See DESIGN.md section 5 for the
-   index. *)
+   repo's extra experiments) by id or alias. The ids are those of
+   Mcs_experiments.Registry; see DESIGN.md section 5 for the index. *)
 
 open Cmdliner
 module E = Mcs_experiments
 
-let print_tables tables = List.iter Mcs_util.Table.print tables
+let die msg =
+  prerr_endline msg;
+  exit 2
 
 let run_experiment id runs profile profile_format =
+  let entry =
+    match E.Registry.find id with
+    | Some e -> e
+    | None ->
+      die
+        ("unknown experiment " ^ String.lowercase_ascii id ^ " ("
+        ^ String.concat " " (List.map (fun e -> e.E.Registry.id) E.Registry.all)
+        ^ ")")
+  in
+  let runs =
+    match runs with
+    | Some n when n >= 1 -> n
+    | Some n -> die (Printf.sprintf "--runs must be at least 1, got %d" n)
+    | None -> (
+      try E.Sweep.runs_from_env () with Invalid_argument m -> die m)
+  in
   Obs_cli.scoped ~profile ~format:profile_format @@ fun () ->
-  let runs = if runs <= 0 then None else Some runs in
-  match String.lowercase_ascii id with
-  | "table1" | "t1" -> Mcs_util.Table.print (E.Table1.table ())
-  | "fig1" | "f1" -> print_tables (E.Fig_ready_vs_global.tables ?runs ())
-  | "fig2" | "f2" -> print_tables (E.Fig_mu_sweep.figure2 ?runs ())
-  | "fig3" | "f3" -> print_tables (E.Fig_strategies.figure3 ?runs ())
-  | "fig4" | "f4" -> print_tables (E.Fig_strategies.figure4 ?runs ())
-  | "fig5" | "f5" -> print_tables (E.Fig_strategies.figure5 ?runs ())
-  | "x1" | "constraint" -> Mcs_util.Table.print (E.Exp_constraint.table ?runs ())
-  | "x2" | "packing" -> Mcs_util.Table.print (E.Exp_ablation.packing_table ?runs ())
-  | "x3" | "scrap" -> Mcs_util.Table.print (E.Exp_ablation.procedure_table ?runs ())
-  | "x4" | "validation" -> Mcs_util.Table.print (E.Exp_validation.table ?runs ())
-  | "x5" | "arrivals" -> Mcs_util.Table.print (E.Exp_arrivals.table ?runs ())
-  | "x6" | "single" -> Mcs_util.Table.print (E.Exp_single_ptg.table ?runs ())
-  | "x7" | "online" -> Mcs_util.Table.print (E.Exp_online.table ?runs ())
-  | "x8" | "faults" -> Mcs_util.Table.print (E.Exp_faults.table ?runs ())
-  | "x9" | "malleable" -> Mcs_util.Table.print (E.Exp_malleable.table ?runs ())
-  | other ->
-    prerr_endline
-      ("unknown experiment " ^ other
-     ^ " (table1 fig1 fig2 fig3 fig4 fig5 x1 x2 x3 x4 x5 x6 x7 x8 x9)");
-    exit 2
+  List.iter Mcs_util.Table.print (entry.E.Registry.run ~runs)
 
 let id =
   Arg.(value & pos 0 string "table1"
        & info [] ~docv:"EXPERIMENT"
-           ~doc:"table1, fig1..fig5, x1 (constraint), x2 (packing), x3 \
-                 (scrap), x4 (validation), x5 (arrivals), x6 (single), x7 \
-                 (online), x8 (faults), x9 (malleable)")
+           ~doc:
+             ("one of: "
+             ^ String.concat ", "
+                 (List.map
+                    (fun e ->
+                      match e.E.Registry.aliases with
+                      | [] -> e.E.Registry.id
+                      | aliases ->
+                        Printf.sprintf "%s (%s)" e.E.Registry.id
+                          (String.concat ", " aliases))
+                    E.Registry.all)))
 
 let runs =
-  Arg.(value & opt int 0
-       & info [ "runs" ]
-           ~doc:"combinations per (count, platform) point; 0 = MCS_RUNS \
-                 env or the paper's 25")
+  Arg.(value & opt (some int) None
+       & info [ "runs" ] ~docv:"N"
+           ~doc:"combinations per (count, platform) point, at least 1 \
+                 (default: the MCS_RUNS environment variable, or the \
+                 paper's 25)")
 
 let cmd =
   let doc = "regenerate the paper's tables and figures" in

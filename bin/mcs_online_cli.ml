@@ -19,8 +19,10 @@ let run (sc : Engine_cli.scenario) mean_interarrival (e : Engine_cli.engine)
   let apps = Engine_cli.draw_stream sc ~mean:mean_interarrival in
   let release = Array.of_list (List.map snd apps) in
   let fault_scenario =
-    Option.map (fun config -> Fault.generate ~seed:sc.seed platform config)
-      e.faults
+    try
+      Option.map (fun config -> Fault.generate ~seed:sc.seed platform config)
+        e.faults
+    with Invalid_argument m -> Engine_cli.die m
   in
   let policy = Engine_cli.policy e strategy in
   (* --swap-to and --what-if name one preset over the CLI's default

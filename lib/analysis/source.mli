@@ -13,16 +13,8 @@ type t = {
   from_cmt : bool;  (** true when recovered from a [.cmt] *)
 }
 
-val modname_of_path : string -> string
-
 val parse_string : filename:string -> string -> (t, string) result
 (** Parse an implementation from a string (tests, fixtures). *)
-
-val parse_file : string -> (t, string) result
-
-val find_cmt : build_dir:string -> string -> string option
-(** The [.cmt] for [dir/base.ml], searched only under the build mirror
-    of [dir] so same-named modules in other libraries cannot leak in. *)
 
 val load : ?build_dir:string -> ?prefer_cmt:bool -> string -> (t, string) result
 (** Load one unit: the [.cmt] when present (default

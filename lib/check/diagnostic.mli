@@ -31,8 +31,6 @@ val info :
   ?app:int -> ?node:int -> ?proc:int -> ?window:float * float ->
   Rule.t -> ('a, unit, string, t) format4 -> 'a
 
-val severity_name : severity -> string
-
 val to_string : t -> string
 (** ["ERROR MAP004 map-overlap [app 1, node 3, proc 17, 4.2..5.1]: ..."] *)
 

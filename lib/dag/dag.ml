@@ -338,8 +338,6 @@ let has_path t ~src ~dst =
   if src < 0 || src >= t.n || dst < 0 || dst >= t.n then false
   else (reachable_from t src).(dst)
 
-let map_nodes t ~f = Array.init t.n f
-
 (* Reachability matrix as per-node boolean rows, computed in reverse
    topological order: row(v) = {v} ∪ ⋃ row(succ). O(V·E/word) via
    Bytes-backed rows would be possible; plain bool arrays are fine at

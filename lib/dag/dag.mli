@@ -127,9 +127,6 @@ val is_edge : t -> src:int -> dst:int -> bool
 val has_path : t -> src:int -> dst:int -> bool
 (** True when a directed path (possibly empty) links [src] to [dst]. *)
 
-val map_nodes : t -> f:(int -> 'a) -> 'a array
-(** Convenience: array of [f v] for each node. *)
-
 val transitive_closure : t -> t
 (** DAG with an edge [u -> v] for every non-trivial path of [t]. Edge
     identifiers are renumbered. *)

@@ -4,70 +4,65 @@ module List_mapper = Mcs_sched.List_mapper
 module Allocation = Mcs_sched.Allocation
 module Table = Mcs_util.Table
 
-(* Compare two pipeline configurations under ES on random-PTG scenarios;
-   one table row per PTG count. *)
-let compare_configs ~title ~label_a ~label_b ~config_a ~config_b ?runs
-    ?(counts = Workload.paper_counts) ~seed () =
-  let runs =
-    match runs with Some r -> r | None -> Sweep.runs_from_env ()
+let config_table ~title ~seed ~configs ~columns ?runs
+    ?(counts = Workload.paper_counts) () =
+  let results =
+    Sweep.run ?runs ~counts ~seed ~variants:configs
+      ~makespan:(fun r -> r.Runner.global_makespan)
+      (fun sc ->
+        List.map (fun (_, config) ->
+            match
+              Runner.evaluate ~config sc.Sweep.platform sc.Sweep.ptgs
+                [ Strategy.Equal_share ]
+            with
+            | [ r ] -> r
+            | _ -> assert false))
   in
-  let table =
-    Table.create ~title
-      ~header:
-        [ "#PTGs";
-          "unfairness " ^ label_a; "unfairness " ^ label_b;
-          "makespan (s) " ^ label_a; "makespan (s) " ^ label_b ]
-  in
-  List.iter
-    (fun count ->
-      let per_scenario =
-        Mcs_util.Parmap.map
-          (fun (platform, ptgs) ->
-            let run config =
-              match
-                Runner.evaluate ~config platform ptgs
-                  [ Strategy.Equal_share ]
-              with
-              | [ r ] -> r
-              | _ -> assert false
-            in
-            (run config_a, run config_b))
-          (Sweep.scenarios ~family:Workload.Random_mixed_scenarios ~count
-             ~runs ~seed)
-      in
-      let mean f = Sweep.mean_over f per_scenario in
-      ignore
-        (Table.add_float_row table (string_of_int count)
-           [
-             mean (fun (a, _) -> a.Runner.unfairness);
-             mean (fun (_, b) -> b.Runner.unfairness);
-             mean (fun (a, _) -> a.Runner.global_makespan);
-             mean (fun (_, b) -> b.Runner.global_makespan);
-           ]))
-    counts;
-  table
+  Sweep.grid ~title ~corner:"#PTGs"
+    ~rows:(List.map (fun c -> (string_of_int c, c)) counts)
+    ~cols:
+      (List.concat_map
+         (fun (name, metric) ->
+           List.map
+             (fun (label, _) -> (name ^ " " ^ label, (label, metric)))
+             configs)
+         columns)
+    (fun count (label, metric) ->
+      List.find_map
+        (fun (c, (l, _), s) ->
+          if c = count && l = label then Some (Table.fmt_float (metric s))
+          else None)
+        results)
+
+let columns =
+  [
+    ("unfairness", fun s -> s.Sweep.mean (fun r -> r.Runner.unfairness));
+    ("makespan (s)", fun s -> s.Sweep.mean (fun r -> r.Runner.global_makespan));
+  ]
 
 let packing_table ?runs ?counts () =
-  let with_packing = Pipeline.default_config in
-  let without_packing =
-    {
-      Pipeline.default_config with
-      mapper = { List_mapper.default_options with packing = false };
-    }
-  in
-  compare_configs
-    ~title:
-      "Ablation — allocation packing on/off (ES strategy, random PTGs)"
-    ~label_a:"packing" ~label_b:"no packing" ~config_a:with_packing
-    ~config_b:without_packing ?runs ?counts ~seed:106 ()
+  config_table
+    ~title:"Ablation — allocation packing on/off (ES strategy, random PTGs)"
+    ~seed:106
+    ~configs:
+      [
+        ("packing", Pipeline.default_config);
+        ( "no packing",
+          {
+            Pipeline.default_config with
+            mapper = { List_mapper.default_options with packing = false };
+          } );
+      ]
+    ~columns ?runs ?counts ()
 
 let procedure_table ?runs ?counts () =
-  let scrap_max = Pipeline.default_config in
-  let scrap =
-    { Pipeline.default_config with procedure = Allocation.Scrap }
-  in
-  compare_configs
+  config_table
     ~title:
       "Ablation — SCRAP vs SCRAP-MAX allocation (ES strategy, random PTGs)"
-    ~label_a:"SCRAP-MAX" ~label_b:"SCRAP" ~config_a:scrap_max ~config_b:scrap
-    ?runs ?counts ~seed:107 ()
+    ~seed:107
+    ~configs:
+      [
+        ("SCRAP-MAX", Pipeline.default_config);
+        ("SCRAP", { Pipeline.default_config with procedure = Allocation.Scrap });
+      ]
+    ~columns ?runs ?counts ()

@@ -1,7 +1,4 @@
-module Prng = Mcs_prng.Prng
 module Strategy = Mcs_sched.Strategy
-module Metrics = Mcs_metrics.Metrics
-module Table = Mcs_util.Table
 
 type point = {
   strategy : Strategy.t;
@@ -20,73 +17,34 @@ let strategies =
 
 let compute ?runs ?(counts = Workload.paper_counts) ?(seed = 411)
     ?(mean_interarrival = 30.) () =
-  let runs =
-    match runs with Some r -> r | None -> Sweep.runs_from_env ()
-  in
-  List.concat_map
-    (fun count ->
-      let per_scenario =
-        Mcs_util.Parmap.map
-          (fun (platform, ptgs) ->
-            (* Poisson arrivals, deterministic in the scenario. *)
-            let rng =
-              Prng.create ~seed:(seed + (count * 31) + List.length ptgs)
-            in
-            let release =
-              Workload.poisson_releases rng ~mean:mean_interarrival ~count
-            in
-            let results = Runner.evaluate ~release platform ptgs strategies in
-            let best =
-              List.fold_left
-                (fun acc r -> Float.min acc r.Runner.global_makespan)
-                Float.infinity results
-            in
-            List.map
-              (fun r ->
-                ( r.Runner.unfairness,
-                  Metrics.relative_makespan r.Runner.global_makespan ~best ))
-              results)
-          (Sweep.scenarios ~family:Workload.Random_mixed_scenarios ~count
-             ~runs ~seed)
-      in
-      List.mapi
-        (fun si strategy ->
-          let mine = List.map (fun rs -> List.nth rs si) per_scenario in
-          {
-            strategy;
-            count;
-            unfairness = Sweep.mean_over fst mine;
-            relative_makespan = Sweep.mean_over snd mine;
-          })
-        strategies)
-    counts
+  List.map
+    (fun (count, strategy, s) ->
+      {
+        strategy;
+        count;
+        unfairness = s.Sweep.mean (fun r -> r.Runner.unfairness);
+        relative_makespan = s.Sweep.relative_makespan;
+      })
+    (Sweep.run ?runs ~counts ~seed ~variants:strategies
+       ~makespan:(fun r -> r.Runner.global_makespan)
+       (fun sc ->
+         Runner.evaluate
+           ~release:(Sweep.poisson_release ~seed ~mean:mean_interarrival sc)
+           sc.Sweep.platform sc.Sweep.ptgs))
 
 let table ?runs () =
   let points = compute ?runs () in
   let counts = List.sort_uniq compare (List.map (fun p -> p.count) points) in
-  let t =
-    Table.create
-      ~title:
-        "Staggered submissions (Poisson arrivals, mean 30 s) — unfairness / \
-         relative response time"
-      ~header:
-        ("strategy"
-        :: List.map (fun c -> string_of_int c ^ " PTGs") counts)
-  in
-  List.iter
-    (fun strategy ->
-      Table.add_row t
-        (Strategy.name strategy
-        :: List.map
-             (fun count ->
-               match
-                 List.find_opt
-                   (fun p -> p.strategy = strategy && p.count = count)
-                   points
-               with
-               | Some p ->
-                 Printf.sprintf "%.2f / %.2f" p.unfairness p.relative_makespan
-               | None -> "-")
-             counts))
-    strategies;
-  t
+  Sweep.grid
+    ~title:
+      "Staggered submissions (Poisson arrivals, mean 30 s) — unfairness / \
+       relative response time"
+    ~corner:"strategy"
+    ~rows:(List.map (fun s -> (Strategy.name s, s)) strategies)
+    ~cols:(List.map (fun c -> (string_of_int c ^ " PTGs", c)) counts)
+    (fun strategy count ->
+      Option.map
+        (fun p -> Printf.sprintf "%.2f / %.2f" p.unfairness p.relative_makespan)
+        (List.find_opt
+           (fun p -> p.strategy = strategy && p.count = count)
+           points))

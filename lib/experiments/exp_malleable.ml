@@ -1,7 +1,5 @@
 module Strategy = Mcs_sched.Strategy
 module Malleability = Mcs_sched.Malleability
-module Metrics = Mcs_metrics.Metrics
-module Table = Mcs_util.Table
 module Engine = Mcs_online.Engine
 module Policy = Mcs_online.Policy
 module Fault = Mcs_fault.Fault
@@ -47,135 +45,67 @@ let strategy = Strategy.Weighted (Strategy.Work, 0.7)
    the idle processors) — the access pattern malleability exists for. *)
 let burst_release count = Array.init count (fun i -> float_of_int (i / 3) *. 150.)
 
-(* One scenario under every (mode, level) pair: virtual response times,
-   engine resize count, and the per-scenario makespan ranking between
-   the two modes at the same fault level. Every run is audited — the
-   per-generation online rules, the FAULT family when faults are on and
-   the MAL family when malleability is on; a violation aborts the
-   experiment rather than skewing it. *)
-let scenario_metrics platform ptgs ~release ~fault_seed =
-  let own =
-    Array.of_list
+(* Every (level, mode) run of one scenario, each paired with 1 when its
+   makespan strictly beats the other mode's at the same fault level. *)
+let evaluate ~seed sc variants =
+  let runs =
+    Online_runner.evaluate ~fault_seed:(Sweep.fault_seed ~seed sc)
+      ~release:(burst_release sc.Sweep.count) sc.Sweep.platform sc.Sweep.ptgs
       (List.map
-         (fun ptg ->
-           Runner.makespan_alone ~timing:Runner.Estimated platform ptg)
-         ptgs)
+         (fun (_, config, _, malleability) ->
+           (config, Policy.make ?malleability strategy))
+         variants)
   in
-  let apps = List.mapi (fun i ptg -> (ptg, release.(i))) ptgs in
-  let results =
-    List.concat_map
-      (fun (level, config) ->
-        let faults =
-          Option.map
-            (fun config -> Fault.generate ~seed:fault_seed platform config)
-            config
-        in
-        List.map
-          (fun (mode, malleability) ->
-            let r =
-              Engine.run ~check:Mcs_check.Check.fail_on_error ?faults
-                ~policy:(Policy.make ?malleability strategy)
-                platform apps
-            in
-            let unfairness =
-              Metrics.unfairness_of_makespans ~own ~multi:r.Engine.responses
-            in
-            let global = Mcs_util.Floatx.maximum r.Engine.responses in
-            ( mode,
-              level,
-              unfairness,
-              global,
-              float_of_int r.Engine.stats.Engine.resizes ))
-          modes)
-      levels
-  in
-  let best =
-    List.fold_left
-      (fun acc (_, _, _, global, _) -> Float.min acc global)
-      Float.infinity results
-  in
+  let results = List.combine variants runs in
   List.map
-    (fun (mode, level, unfairness, global, resizes) ->
-      let rival_global =
+    (fun ((level, _, mode, _), r) ->
+      let rival =
         List.fold_left
-          (fun acc (m, l, _, g, _) ->
-            if l = level && m <> mode then Float.min acc g else acc)
+          (fun acc ((l, _, m, _), (o : Online_runner.t)) ->
+            if l = level && m <> mode then Float.min acc o.response_makespan
+            else acc)
           Float.infinity results
       in
-      ( mode,
-        level,
-        unfairness,
-        Metrics.relative_makespan global ~best,
-        resizes,
-        if global < rival_global then 1. else 0. ))
+      (r, if r.Online_runner.response_makespan < rival then 1. else 0.))
     results
 
 let compute ?runs ?(count = 6) ?(seed = 911) () =
-  let runs = match runs with Some r -> r | None -> Sweep.runs_from_env () in
-  let release = burst_release count in
-  let per_scenario =
-    Mcs_util.Parmap.map
-      (fun (i, (platform, ptgs)) ->
-        scenario_metrics platform ptgs ~release
-          ~fault_seed:(seed + (257 * i) + 1))
-      (List.mapi
-         (fun i s -> (i, s))
-         (Sweep.scenarios ~family:Workload.Random_mixed_scenarios ~count ~runs
-            ~seed))
-  in
-  List.concat_map
-    (fun (level, _) ->
-      List.map
-        (fun (mode, _) ->
-          let mine =
-            List.map
-              (fun rs ->
-                let _, _, unf, rel, res, win =
-                  List.find
-                    (fun (m, l, _, _, _, _) -> m = mode && l = level)
-                    rs
-                in
-                (unf, rel, res, win))
-              per_scenario
-          in
-          {
-            mode;
-            level;
-            unfairness = Sweep.mean_over (fun (u, _, _, _) -> u) mine;
-            relative_makespan = Sweep.mean_over (fun (_, r, _, _) -> r) mine;
-            resizes = Sweep.mean_over (fun (_, _, s, _) -> s) mine;
-            win_rate = Sweep.mean_over (fun (_, _, _, w) -> w) mine;
-          })
-        modes)
-    levels
+  List.map
+    (fun (_, (level, _, mode, _), s) ->
+      {
+        mode;
+        level;
+        unfairness = s.Sweep.mean (fun (r, _) -> r.Online_runner.unfairness);
+        relative_makespan = s.Sweep.relative_makespan;
+        resizes =
+          s.Sweep.mean (fun (r, _) ->
+              float_of_int r.Online_runner.stats.Engine.resizes);
+        win_rate = s.Sweep.mean snd;
+      })
+    (Sweep.run ?runs ~counts:[ count ] ~seed
+       ~variants:
+         (List.concat_map
+            (fun (level, config) ->
+              List.map
+                (fun (mode, malleability) -> (level, config, mode, malleability))
+                modes)
+            levels)
+       ~makespan:(fun (r, _) -> r.Online_runner.response_makespan)
+       (evaluate ~seed))
 
 let table ?runs () =
   let points = compute ?runs () in
-  let level_names = List.map fst levels in
-  let t =
-    Table.create
-      ~title:
-        "Malleable vs moldable execution (X9) — unfairness / relative \
-         response time (mean resizes, makespan win rate) under burst \
-         submissions"
-      ~header:("mode" :: level_names)
-  in
-  List.iter
-    (fun (mode, _) ->
-      Table.add_row t
-        (mode
-        :: List.map
-             (fun level ->
-               match
-                 List.find_opt
-                   (fun p -> p.mode = mode && p.level = level)
-                   points
-               with
-               | Some p ->
-                 Printf.sprintf "%.2f / %.2f (%.1f rsz, %.0f%% win)"
-                   p.unfairness p.relative_makespan p.resizes
-                   (100. *. p.win_rate)
-               | None -> "-")
-             level_names))
-    modes;
-  t
+  Sweep.grid
+    ~title:
+      "Malleable vs moldable execution (X9) — unfairness / relative \
+       response time (mean resizes, makespan win rate) under burst \
+       submissions"
+    ~corner:"mode"
+    ~rows:(List.map (fun (mode, _) -> (mode, mode)) modes)
+    ~cols:(List.map (fun (level, _) -> (level, level)) levels)
+    (fun mode level ->
+      Option.map
+        (fun p ->
+          Printf.sprintf "%.2f / %.2f (%.1f rsz, %.0f%% win)" p.unfairness
+            p.relative_makespan p.resizes (100. *. p.win_rate))
+        (List.find_opt (fun p -> p.mode = mode && p.level = level) points))

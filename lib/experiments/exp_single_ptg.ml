@@ -28,42 +28,20 @@ let efficiency platform _ptg sched =
   | e -> e
 
 let compute ?runs ?(seed = 77) () =
-  let runs =
-    match runs with Some r -> r | None -> Sweep.runs_from_env ()
-  in
-  let scenarios =
-    List.concat_map
-      (fun (platform, ptgs) -> List.map (fun p -> (platform, p)) ptgs)
-      (Sweep.scenarios ~family:Workload.Random_mixed_scenarios ~count:1 ~runs
-         ~seed)
-  in
-  let per_scenario =
-    Mcs_util.Parmap.map
-      (fun (platform, ptg) ->
-        let entries =
-          List.map
-            (fun (name, algo) ->
-              let sched = algo platform ptg in
-              (name, sched.Schedule.makespan, efficiency platform ptg sched))
-            algorithms
-        in
-        let best =
-          List.fold_left (fun acc (_, m, _) -> Float.min acc m) Float.infinity
-            entries
-        in
-        List.map (fun (name, m, e) -> (name, m /. best, e)) entries)
-      scenarios
-  in
-  List.mapi
-    (fun i (name, _) ->
-      let mine = List.map (fun entries -> List.nth entries i) per_scenario in
+  List.map
+    (fun (_, (algorithm, _), s) ->
       {
-        algorithm = name;
-        mean_relative_makespan =
-          Sweep.mean_over (fun (_, m, _) -> m) mine;
-        mean_efficiency = Sweep.mean_over (fun (_, _, e) -> e) mine;
+        algorithm;
+        mean_relative_makespan = s.Sweep.relative_makespan;
+        mean_efficiency = s.Sweep.mean snd;
       })
-    algorithms
+    (Sweep.run ?runs ~counts:[ 1 ] ~seed ~variants:algorithms
+       ~makespan:fst
+       (fun sc ->
+         let platform = sc.Sweep.platform and ptg = List.hd sc.Sweep.ptgs in
+         List.map (fun (_, algo) ->
+             let sched = algo platform ptg in
+             (sched.Schedule.makespan, efficiency platform ptg sched))))
 
 let table ?runs () =
   let stats = compute ?runs () in

@@ -13,66 +13,38 @@ let paper_mus = [ 0.; 0.3; 0.5; 0.7; 0.8; 0.9; 1. ]
 let compute ?runs ?(counts = Workload.paper_counts) ?(mus = paper_mus)
     ?(seed = 2008) ?(metric = Strategy.Work)
     ?(family = Workload.Random_mixed_scenarios) () =
-  let runs =
-    match runs with Some r -> r | None -> Sweep.runs_from_env ()
-  in
-  let strategies = List.map (fun mu -> Strategy.Weighted (metric, mu)) mus in
-  List.concat_map
-    (fun count ->
-      let scenario_results =
-        Mcs_util.Parmap.map
-          (fun (platform, ptgs) -> Runner.evaluate platform ptgs strategies)
-          (Sweep.scenarios ~family ~count ~runs ~seed)
-      in
-      List.mapi
-        (fun si mu ->
-          let per_scenario =
-            List.map (fun results -> List.nth results si) scenario_results
-          in
-          {
-            mu;
-            count;
-            unfairness =
-              Sweep.mean_over (fun r -> r.Runner.unfairness) per_scenario;
-            avg_makespan =
-              Sweep.mean_over (fun r -> r.Runner.avg_makespan) per_scenario;
-          })
-        mus)
-    counts
+  List.map
+    (fun (count, mu, s) ->
+      {
+        mu;
+        count;
+        unfairness = s.Sweep.mean (fun r -> r.Runner.unfairness);
+        avg_makespan = s.Sweep.mean (fun r -> r.Runner.avg_makespan);
+      })
+    (Sweep.run ?runs ~family ~counts ~seed ~variants:mus
+       ~makespan:(fun r -> r.Runner.global_makespan)
+       (fun sc mus ->
+         Runner.evaluate sc.Sweep.platform sc.Sweep.ptgs
+           (List.map (fun mu -> Strategy.Weighted (metric, mu)) mus)))
 
 let tables ~metric points =
   let mus = List.sort_uniq compare (List.map (fun p -> p.mu) points) in
   let counts = List.sort_uniq compare (List.map (fun p -> p.count) points) in
-  let header =
-    "#PTGs" :: List.map (fun mu -> Printf.sprintf "mu=%.1f" mu) mus
-  in
   let series get title =
-    let table =
-      Table.create
-        ~title:
-          (Printf.sprintf "%s vs mu — WPS-%s, random PTGs" title
-             (match metric with
-             | Strategy.Cp -> "cp"
-             | Strategy.Width -> "width"
-             | Strategy.Work -> "work"))
-        ~header
-    in
-    List.iter
-      (fun count ->
-        let row =
-          List.map
-            (fun mu ->
-              match
-                List.find_opt (fun p -> p.mu = mu && p.count = count) points
-              with
-              | Some p -> get p
-              | None -> Float.nan)
-            mus
-        in
-        ignore
-          (Table.add_float_row table (Printf.sprintf "%d PTGs" count) row))
-      counts;
-    table
+    Sweep.grid
+      ~title:
+        (Printf.sprintf "%s vs mu — WPS-%s, random PTGs" title
+           (match metric with
+           | Strategy.Cp -> "cp"
+           | Strategy.Width -> "width"
+           | Strategy.Work -> "work"))
+      ~corner:"#PTGs"
+      ~rows:(List.map (fun c -> (Printf.sprintf "%d PTGs" c, c)) counts)
+      ~cols:(List.map (fun mu -> (Printf.sprintf "mu=%.1f" mu, mu)) mus)
+      (fun count mu ->
+        Option.map
+          (fun p -> Table.fmt_float (get p))
+          (List.find_opt (fun p -> p.mu = mu && p.count = count) points))
   in
   [
     series (fun p -> p.unfairness) "Unfairness";

@@ -13,9 +13,6 @@ type point = {
   avg_makespan : float;  (** plain average over runs, in seconds *)
 }
 
-val paper_mus : float list
-(** The abscissas of Figure 2: 0, 0.3, 0.5, 0.7, 0.8, 0.9, 1. *)
-
 val compute :
   ?runs:int ->
   ?counts:int list ->
@@ -25,7 +22,8 @@ val compute :
   ?family:Workload.family ->
   unit ->
   point list
-(** Defaults: paper counts and µ values, [Work] metric, random PTGs. *)
+(** Defaults: paper counts, the µ abscissas of Figure 2 (0, 0.3, 0.5,
+    0.7, 0.8, 0.9, 1), [Work] metric, random PTGs. *)
 
 val tables : metric:Mcs_sched.Strategy.metric -> point list -> Mcs_util.Table.t list
 (** Two tables (unfairness, average makespan): one row per PTG count,

@@ -16,7 +16,8 @@ val illustration : unit -> Mcs_util.Table.t
     orderings. *)
 
 val aggregate : ?runs:int -> ?counts:int list -> unit -> Mcs_util.Table.t
-(** Mean unfairness and mean global makespan of both orderings under
-    the ES strategy, per PTG count. *)
+(** Mean unfairness and mean relative makespan of the three orderings
+    (ready tasks, global FCFS, conservative backfilling) under the ES
+    strategy, per PTG count. *)
 
 val tables : ?runs:int -> unit -> Mcs_util.Table.t list

@@ -1,5 +1,4 @@
 module Strategy = Mcs_sched.Strategy
-module Metrics = Mcs_metrics.Metrics
 module Table = Mcs_util.Table
 
 type point = {
@@ -10,50 +9,20 @@ type point = {
   avg_makespan : float;
 }
 
-(* Per-scenario evaluation of all strategies, normalising makespans by
-   the best global makespan achieved on the scenario. *)
-let evaluate_scenario platform ptgs strategies =
-  let results = Runner.evaluate platform ptgs strategies in
-  let best =
-    List.fold_left
-      (fun acc r -> Float.min acc r.Runner.global_makespan)
-      Float.infinity results
-  in
-  List.map
-    (fun r ->
-      ( r.Runner.strategy,
-        r.Runner.unfairness,
-        Metrics.relative_makespan r.Runner.global_makespan ~best,
-        r.Runner.avg_makespan ))
-    results
-
 let compute ?runs ?(counts = Workload.paper_counts) ?(seed = 2008) ~family
     ~strategies () =
-  let runs =
-    match runs with Some r -> r | None -> Sweep.runs_from_env ()
-  in
-  List.concat_map
-    (fun count ->
-      let scenario_results =
-        Mcs_util.Parmap.map
-          (fun (platform, ptgs) -> evaluate_scenario platform ptgs strategies)
-          (Sweep.scenarios ~family ~count ~runs ~seed)
-      in
-      List.mapi
-        (fun si strategy ->
-          let per_scenario =
-            List.map (fun results -> List.nth results si) scenario_results
-          in
-          let mean f = Sweep.mean_over f per_scenario in
-          {
-            count;
-            strategy;
-            unfairness = mean (fun (_, u, _, _) -> u);
-            relative_makespan = mean (fun (_, _, m, _) -> m);
-            avg_makespan = mean (fun (_, _, _, a) -> a);
-          })
-        strategies)
-    counts
+  List.map
+    (fun (count, strategy, s) ->
+      {
+        count;
+        strategy;
+        unfairness = s.Sweep.mean (fun r -> r.Runner.unfairness);
+        relative_makespan = s.Sweep.relative_makespan;
+        avg_makespan = s.Sweep.mean (fun r -> r.Runner.avg_makespan);
+      })
+    (Sweep.run ?runs ~family ~counts ~seed ~variants:strategies
+       ~makespan:(fun r -> r.Runner.global_makespan)
+       (fun sc -> Runner.evaluate sc.Sweep.platform sc.Sweep.ptgs))
 
 let tables ~family points =
   let counts =
@@ -66,32 +35,18 @@ let tables ~family points =
         else acc @ [ p.strategy ])
       [] points
   in
-  let header =
-    "strategy" :: List.map (fun c -> string_of_int c ^ " PTGs") counts
-  in
   let series metric title =
-    let table =
-      Table.create
-        ~title:(Printf.sprintf "%s — %s" title (Workload.family_name family))
-        ~header
-    in
-    List.iter
-      (fun strategy ->
-        let row =
-          List.map
-            (fun count ->
-              match
-                List.find_opt
-                  (fun p -> p.count = count && p.strategy = strategy)
-                  points
-              with
-              | Some p -> metric p
-              | None -> Float.nan)
-            counts
-        in
-        ignore (Table.add_float_row table (Strategy.name strategy) row))
-      strategies;
-    table
+    Sweep.grid
+      ~title:(Printf.sprintf "%s — %s" title (Workload.family_name family))
+      ~corner:"strategy"
+      ~rows:(List.map (fun s -> (Strategy.name s, s)) strategies)
+      ~cols:(List.map (fun c -> (string_of_int c ^ " PTGs", c)) counts)
+      (fun strategy count ->
+        Option.map
+          (fun p -> Table.fmt_float (metric p))
+          (List.find_opt
+             (fun p -> p.count = count && p.strategy = strategy)
+             points))
   in
   [
     series (fun p -> p.unfairness) "Unfairness";

@@ -64,12 +64,13 @@ let unit_outages rng config procs =
   done;
   List.rev !out
 
+let max_expected_outages = 100_000.
+
 let generate ~seed platform config =
   validate config;
   let outages =
     if not (Float.is_finite config.mttf) then []
     else begin
-      let parent = Prng.create ~seed in
       let units =
         match config.granularity with
         | Cluster ->
@@ -80,6 +81,20 @@ let generate ~seed platform config =
         | Proc ->
           List.init (P.total_procs platform) (fun p -> [| p |])
       in
+      (* A renewal process of mean cycle mttf + mttr starts about
+         horizon / (mttf + mttr) outages per unit: refuse before
+         materialising an unbounded list. *)
+      let expected =
+        float_of_int (List.length units)
+        *. config.horizon /. (config.mttf +. config.mttr)
+      in
+      if expected > max_expected_outages then
+        invalid_arg
+          (Printf.sprintf
+             "Fault.generate: about %.3g outages expected over the horizon \
+              (at most %.0f); raise mttf or mttr or shorten the horizon"
+             expected max_expected_outages);
+      let parent = Prng.create ~seed in
       (* One child stream per unit, split in unit order: the number of
          draws one unit makes cannot shift another unit's process. *)
       let all =

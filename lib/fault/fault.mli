@@ -64,7 +64,9 @@ val generate : seed:int -> Mcs_platform.Platform.t -> config -> scenario
     child stream, so the draw counts of different units cannot couple.
     @raise Invalid_argument on an [mttf] or [mttr] below
     {!Mcs_util.Floatx.time_floor}, a non-finite [mttr], [task_fail_p]
-    outside [0, 1], or a non-positive horizon. *)
+    outside [0, 1], a non-positive horizon, or a process expected to
+    start more than 100 000 outages over the horizon (failure units ×
+    horizon / (mttf + mttr)) — refused before any is drawn. *)
 
 val no_faults : scenario
 (** The empty scenario (seed 0, {!default} config, no outages): faults

@@ -20,9 +20,6 @@ val format_names : (string * format) list
 (** [("chrome", Chrome); ("jsonl", Jsonl); ("table", Table)] — ready
     for [Cmdliner.Arg.enum]. *)
 
-val format_of_string : string -> (format, string) result
-(** Case-insensitive lookup in {!format_names}. *)
-
 type row = {
   phase : string;   (** span name *)
   calls : int;      (** number of completed spans with this name *)
@@ -34,9 +31,6 @@ type row = {
 val profile_rows : unit -> row list
 (** Spans aggregated by name, sorted by decreasing self time — the data
     behind the table exporter and [BENCH_pipeline.json]. *)
-
-val profile_table : unit -> Mcs_util.Table.t
-(** The self-time profile as a renderable table. *)
 
 val chrome : unit -> string
 (** The Chrome trace document, encoded (round-trips through

@@ -720,7 +720,6 @@ let submit s ptg ~release ~at =
 let now s = s.st.State.now
 let active_count s = s.st.State.active_apps
 let peak_active s = s.st.State.peak_active
-let app_count s = Array.length s.st.State.apps
 let in_service s = Array.length s.st.State.apps - s.st.State.completed_apps
 let policy s = s.policy
 

@@ -69,6 +69,8 @@ let max_width t =
     Array.fold_left max 0 counts
   end
 
+(* Bottom levels under 1-processor execution times, communications
+   excluded. *)
 let bottom_levels_seq t ~gflops =
   Dag.bottom_levels t.dag
     ~node_weight:(fun v ->

@@ -29,6 +29,8 @@ let level_usage ptg procs =
   done;
   usage
 
+(* Number of real (non-virtual) tasks per precedence level — the
+   population floor of the level constraint. *)
 let level_population ptg =
   let dag = ptg.Ptg.dag in
   let levels = Dag.depth_levels dag in

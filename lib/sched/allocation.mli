@@ -181,10 +181,6 @@ val level_usage : Mcs_ptg.Ptg.t -> int array -> int array
 (** Total reference processors allocated per precedence level (virtual
     nodes excluded) — used to audit constraint satisfaction. *)
 
-val level_population : Mcs_ptg.Ptg.t -> int array
-(** Number of real (non-virtual) tasks per precedence level — the
-    population floor of the level constraint. *)
-
 val respects_level_constraint :
   Reference_cluster.t -> beta:float -> Mcs_ptg.Ptg.t -> int array -> bool
 (** Whether every precedence level satisfies

@@ -52,23 +52,6 @@ let to_csv ?release schedules =
     schedules;
   Buffer.contents buf
 
-(* Minimal JSON string escaping: the only strings we emit are PTG names
-   (generator-controlled), but escape defensively anyway. *)
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let add_task buf ?preds ptg pl =
   Buffer.add_string buf
     (Printf.sprintf
@@ -106,8 +89,8 @@ let to_json ?release ?betas ?alloc ?pinned schedules =
       let ptg = sched.Schedule.ptg in
       let dag = ptg.Ptg.dag in
       Buffer.add_string buf
-        (Printf.sprintf "{\"id\":%d,\"name\":\"%s\"," ptg.Ptg.id
-           (escape ptg.Ptg.name));
+        (Printf.sprintf "{\"id\":%d,\"name\":%s," ptg.Ptg.id
+           (Mcs_util.Jsonx.quote ptg.Ptg.name));
       (match release with
       | Some r -> Buffer.add_string buf (Printf.sprintf "\"release\":%.17g," r.(i))
       | None -> ());

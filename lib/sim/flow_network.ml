@@ -36,8 +36,6 @@ let remove_flow t f =
     invalid_arg "Flow_network.remove_flow: flow not active";
   t.flows <- List.filter (fun g -> g != f) t.flows
 
-let active_flows t = t.flows
-
 (* Progressive filling with per-flow caps: repeatedly find the smallest
    binding constraint — either a link's equal share or a flow's cap —
    freeze the flows it binds at that rate, and subtract the frozen

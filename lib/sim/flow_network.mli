@@ -14,8 +14,6 @@ val create : capacities:float array -> t
 (** One network with [Array.length capacities] links.
     @raise Invalid_argument on a non-positive capacity. *)
 
-val link_count : t -> int
-
 type flow
 (** Handle on an active flow. *)
 
@@ -32,8 +30,6 @@ val add_flow : t -> ?cap:float -> int list -> flow
 val remove_flow : t -> flow -> unit
 (** Unregister. Removing twice is an error.
     @raise Invalid_argument if the flow is not active. *)
-
-val active_flows : t -> flow list
 
 val rates : t -> (flow * float) list
 (** Max-min fair rate of every active flow, bytes/s. Flows with an empty

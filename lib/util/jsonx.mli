@@ -30,6 +30,11 @@ val encode : t -> string
     @raise Invalid_argument on a NaN or infinite [Num] (JSON has no
     representation for them). *)
 
+val quote : string -> string
+(** The JSON string literal of a string, quotes included, escaped as
+    {!encode} escapes strings: the one escaper of the hand-rolled
+    encoders (traces, online event logs). *)
+
 (** {2 Accessors}
 
     All return [None] on a shape mismatch, so client code reads as a

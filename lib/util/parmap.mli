@@ -12,10 +12,6 @@
     stderr (once — the verdict is cached for the process) instead of
     being silently ignored. *)
 
-val parse_domains : string -> (int, string) result
-(** Validate one [MCS_DOMAINS] value: [Ok n] for an integer [n >= 1],
-    otherwise a human-readable error (non-numeric, zero or negative). *)
-
 val domain_count : unit -> int
 (** The effective parallelism used by {!map}, computed once per process
     (first call reads and validates [MCS_DOMAINS]). *)

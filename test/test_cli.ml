@@ -14,14 +14,19 @@ let here = Filename.dirname Sys.executable_name
 let online_cli = Filename.concat here "../bin/mcs_online_cli.exe"
 let serve_cli = Filename.concat here "../bin/mcs_serve_cli.exe"
 let sched_cli = Filename.concat here "../bin/mcs_sched_cli.exe"
+let experiments_cli = Filename.concat here "../bin/mcs_experiments_cli.exe"
 
-(* Run [exe] with [args]; returns its exit code and its stdout. *)
-let run_cli exe args =
+(* Run [exe] with [args], and [env] bindings added to the environment;
+   returns its exit code and its stdout. *)
+let run_cli ?(env = []) exe args =
   let out = Filename.temp_file "mcs_cli" ".out" in
   let fd = Unix.openfile out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
   let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
   let pid =
-    Unix.create_process exe (Array.of_list (exe :: args)) Unix.stdin fd null
+    Unix.create_process_env exe
+      (Array.of_list (exe :: args))
+      (Array.append (Array.of_list env) (Unix.environment ()))
+      Unix.stdin fd null
   in
   Unix.close fd;
   Unix.close null;
@@ -89,8 +94,8 @@ let test_presets_match_removed_switches () =
   Sys.remove log;
   check_golden "serve_preset_dynamic.jsonl" (code, merged)
 
-let check_refused name exe args =
-  let code, _ = run_cli exe args in
+let check_refused ?env name exe args =
+  let code, _ = run_cli ?env exe args in
   Alcotest.(check int) (name ^ ": exit 2") 2 code
 
 let test_count_zero_refused () =
@@ -148,6 +153,38 @@ let test_tiny_time_parameters_refused () =
     (raises (fun () ->
          Fault.validate { config with Fault.mttf = 1e-6; mttr = 1e-6 }))
 
+(* A bad run count used to fall back silently to the 25-run paper
+   sweep; it must be refused before any scenario runs. *)
+let test_bad_run_counts_refused () =
+  List.iter
+    (fun v ->
+      check_refused
+        ~env:[ "MCS_RUNS=" ^ v ]
+        ("MCS_RUNS=" ^ v ^ " fig5") experiments_cli [ "fig5" ])
+    [ "abc"; "0"; "-3"; "" ];
+  check_refused "--runs=-5" experiments_cli [ "fig5"; "--runs=-5" ];
+  check_refused "--runs 0" experiments_cli [ "fig5"; "--runs"; "0" ];
+  check_refused "unknown experiment" experiments_cli [ "fig9"; "--runs"; "1" ]
+
+(* Only the refusal path is exercised: these configurations would
+   materialise billions of outages if they were ever generated. *)
+let test_unbounded_outage_count_refused () =
+  let tiny = [ "--faults"; "--mttf"; "1e-6"; "--mttr"; "1e-6" ] in
+  check_refused "online --mttf/--mttr 1e-6, default horizon" online_cli
+    ([ "--count"; "1" ] @ tiny);
+  check_refused "serve --mttf/--mttr 1e-6, default horizon" serve_cli
+    ([ "--inline"; "--count"; "1" ] @ tiny);
+  let platform = Mcs_platform.Grid5000.rennes () in
+  let refused config =
+    match Fault.generate ~seed:1 platform config with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  let tiny = { Fault.default with Fault.mttf = 1e-6; mttr = 1e-6 } in
+  Alcotest.(check bool) "per-processor units" true (refused tiny);
+  Alcotest.(check bool) "cluster units" true
+    (refused { tiny with Fault.granularity = Fault.Cluster })
+
 let suite =
   [
     ( "cli",
@@ -160,5 +197,9 @@ let suite =
           test_tiny_time_parameters_refused;
         Alcotest.test_case "policy presets match the removed switches"
           `Quick test_presets_match_removed_switches;
+        Alcotest.test_case "bad run counts refused with exit 2" `Quick
+          test_bad_run_counts_refused;
+        Alcotest.test_case "unbounded outage count refused" `Quick
+          test_unbounded_outage_count_refused;
       ] );
   ]

@@ -210,6 +210,85 @@ let test_malleable_experiment_shape () =
           p.Exp_malleable.resizes)
     points
 
+(* Every harness built on Sweep.run, pinned at reduced parameters:
+   test/fixtures/sweep_points.txt was recorded with the per-experiment
+   scenario loops that Sweep.run replaced, so any change in seeds,
+   normalisation or averaging order shows up as a diff. *)
+let g = Printf.sprintf "%.17g"
+
+let pinned_points () =
+  let buf = Buffer.create 4096 in
+  let line fmt = Printf.bprintf buf (fmt ^^ "\n") in
+  List.iter
+    (fun (p : Fig_mu_sweep.point) ->
+      line "fig2 mu=%s count=%d unfairness=%s avg_makespan=%s" (g p.mu)
+        p.count (g p.unfairness) (g p.avg_makespan))
+    (Fig_mu_sweep.compute ~runs:1 ~counts:[ 2; 4 ] ~mus:[ 0.; 0.7; 1. ] ());
+  List.iter
+    (fun (family, strategies) ->
+      List.iter
+        (fun (p : Fig_strategies.point) ->
+          line "fig3-5 %s %s count=%d unfairness=%s relative=%s avg=%s"
+            (Workload.family_name family) (Strategy.name p.strategy) p.count
+            (g p.unfairness) (g p.relative_makespan) (g p.avg_makespan))
+        (Fig_strategies.compute ~runs:1 ~counts:[ 2; 4 ] ~family ~strategies
+           ()))
+    [
+      (Workload.Random_mixed_scenarios, Strategy.paper_eight);
+      (Workload.Fft_ptgs, Strategy.paper_eight);
+      (Workload.Strassen_ptgs, Strategy.paper_six);
+    ];
+  List.iter
+    (fun (p : Exp_arrivals.point) ->
+      line "x5 %s count=%d unfairness=%s relative=%s"
+        (Strategy.name p.strategy) p.count (g p.unfairness)
+        (g p.relative_makespan))
+    (Exp_arrivals.compute ~runs:1 ~counts:[ 2; 4 ] ());
+  List.iter
+    (fun (p : Exp_online.point) ->
+      line "x7 %s %s count=%d unfairness=%s relative=%s"
+        (Strategy.name p.strategy)
+        (match p.mode with
+        | Exp_online.Offline -> "offline"
+        | Exp_online.Online -> "online")
+        p.count (g p.unfairness) (g p.relative_makespan))
+    (Exp_online.compute ~runs:1 ~counts:[ 2; 3 ] ());
+  List.iter
+    (fun (p : Exp_faults.point) ->
+      line "x8 %s %s unfairness=%s relative=%s kills=%s retries=%s"
+        (Strategy.name p.strategy) p.level (g p.unfairness)
+        (g p.relative_makespan) (g p.kills) (g p.retries))
+    (Exp_faults.compute ~runs:1 ~count:3 ());
+  List.iter
+    (fun (p : Exp_malleable.point) ->
+      line "x9 %s %s unfairness=%s relative=%s resizes=%s win=%s" p.mode
+        p.level (g p.unfairness) (g p.relative_makespan) (g p.resizes)
+        (g p.win_rate))
+    (Exp_malleable.compute ~runs:1 ~count:3 ());
+  List.iter
+    (fun (s : Exp_single_ptg.stats) ->
+      line "x6 %s relative=%s efficiency=%s" s.algorithm
+        (g s.mean_relative_makespan) (g s.mean_efficiency))
+    (Exp_single_ptg.compute ~runs:1 ());
+  List.iter
+    (fun t -> Buffer.add_string buf (Mcs_util.Table.render t))
+    [
+      Fig_ready_vs_global.aggregate ~runs:1 ~counts:[ 2; 4 ] ();
+      Exp_ablation.packing_table ~runs:1 ~counts:[ 2; 4 ] ();
+      Exp_ablation.procedure_table ~runs:1 ~counts:[ 2; 4 ] ();
+    ];
+  Buffer.contents buf
+
+let test_sweep_points_pinned () =
+  let fixture =
+    In_channel.with_open_bin
+      (Filename.concat (Filename.dirname Sys.executable_name)
+         "fixtures/sweep_points.txt")
+      In_channel.input_all
+  in
+  Alcotest.(check string) "compute points bit-identical" fixture
+    (pinned_points ())
+
 let test_strassen_ps_width_equals_es () =
   (* Width-based strategies are ES on fixed-shape Strassen PTGs. *)
   let rng = Prng.create ~seed:6 in
@@ -263,5 +342,7 @@ let suite =
           test_validation_errors_bounded;
         Alcotest.test_case "malleable experiment (X9)" `Slow
           test_malleable_experiment_shape;
+        Alcotest.test_case "sweep points pinned" `Slow
+          test_sweep_points_pinned;
       ] );
   ]

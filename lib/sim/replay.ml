@@ -20,17 +20,12 @@ type flow_state = {
   mutable remaining : float;
   mutable rate : float;
   mutable last_update : float;
-  mutable version : int;
-  mutable handle : Flow_network.flow option;  (* Some once activated *)
 }
 
 type event =
   | Task_finish of int * int
   | Flow_activate of flow_state
-  | Flow_finish of flow_state * int  (* flow, version at prediction time *)
   | App_release of int
-
-let bytes_eps = 1e-3 (* a flow is done when less than this many bytes remain *)
 
 let run ?release platform schedules =
   if schedules = [] then invalid_arg "Replay.run: no schedules";
@@ -116,41 +111,46 @@ let run ?release platform schedules =
   in
   let head = Array.make total_procs 0 in
 
-  (* Event queue with lazy deletion for flow predictions. *)
-  let heap =
-    Mcs_util.Heap.create
-      ~cmp:(fun (t1, s1, _) (t2, s2, _) ->
-        let c = Float.compare t1 t2 in
-        if c <> 0 then c else compare s1 s2)
+  (* Event queue, ordered by time then sequence number. Flow
+     completions are not queued: every recompute predicts the finish of
+     each active flow, and until the next recompute supersedes them all
+     only the earliest of those predictions can fire, so it alone is
+     kept, in [next_flow]. Events and predictions draw their sequence
+     numbers from one counter, so same-instant ties resolve in the
+     order they were made. *)
+  let order (t1, s1, _) (t2, s2, _) =
+    let c = Float.compare t1 t2 in
+    if c <> 0 then c else Int.compare s1 s2
   in
+  let heap = Mcs_util.Heap.create ~cmp:order in
   let seq = ref 0 in
   let push time ev =
     incr seq;
     Mcs_util.Heap.push heap (time, !seq, ev)
   in
+  let next_flow = ref None in
 
   let flows_created = ref 0 in
-  let events_processed = ref 0 in
 
   (* Flow-rate bookkeeping: advance transferred bytes to [now], assign
-     the fresh max-min rates and push updated completion predictions. *)
-  let active : (int, flow_state) Hashtbl.t = Hashtbl.create 32 in
+     the fresh max-min rates and predict each flow's completion. *)
   let recompute now =
-    Hashtbl.iter
-      (fun _ fs ->
+    next_flow := None;
+    List.iter
+      (fun (flow, rate) ->
+        let fs = Flow_network.data flow in
         fs.remaining <-
           Float.max 0. (fs.remaining -. (fs.rate *. (now -. fs.last_update)));
-        fs.last_update <- now)
-      active;
-    List.iter
-      (fun (handle, rate) ->
-        let fs = Hashtbl.find active (Flow_network.flow_id handle) in
+        fs.last_update <- now;
         fs.rate <- rate;
-        fs.version <- fs.version + 1;
         let eta =
           if rate >= Flow_network.max_rate then 0. else fs.remaining /. rate
         in
-        push (now +. eta) (Flow_finish (fs, fs.version)))
+        let time = now +. eta in
+        incr seq;
+        match !next_flow with
+        | Some (t, _, _) when Float.compare t time <= 0 -> ()
+        | _ -> next_flow := Some (time, !seq, flow))
       (Flow_network.rates network)
   in
 
@@ -219,8 +219,6 @@ let run ?release platform schedules =
               remaining = bytes;
               rate = 0.;
               last_update = now;
-              version = 0;
-              handle = None;
             }
           in
           push (now +. latency) (Flow_activate fs)
@@ -247,42 +245,40 @@ let run ?release platform schedules =
     done
   done;
 
+  let flow_fires prediction =
+    match Mcs_util.Heap.peek heap with
+    | None -> true
+    | Some top -> order prediction top < 0
+  in
   let rec loop () =
-    match Mcs_util.Heap.pop heap with
-    | None -> ()
-    | Some (now, _, ev) ->
-      incr events_processed;
-      (match ev with
-      | Task_finish (i, v) -> finish_task now i v
-      | App_release i ->
-        for v = 0 to node_count i - 1 do
-          if deps.(i).(v) = 1 && Dag.in_degree schedules.(i).Schedule.ptg.Ptg.dag v = 0
-          then dep_done now i v
-        done
-      | Flow_activate fs ->
-        let handle = Flow_network.add_flow network fs.route in
-        fs.handle <- Some handle;
-        fs.last_update <- now;
-        Hashtbl.replace active (Flow_network.flow_id handle) fs;
-        recompute now
-      | Flow_finish (fs, version) ->
-        if version = fs.version then begin
-          fs.remaining <-
-            Float.max 0.
-              (fs.remaining -. (fs.rate *. (now -. fs.last_update)));
-          fs.last_update <- now;
-          if fs.remaining <= bytes_eps then begin
-            (match fs.handle with
-            | Some handle ->
-              Flow_network.remove_flow network handle;
-              Hashtbl.remove active (Flow_network.flow_id handle)
-            | None -> assert false);
-            fs.version <- fs.version + 1;
-            recompute now;
-            dep_done now fs.f_app fs.f_node
-          end
-        end);
+    match !next_flow with
+    | Some ((now, _, flow) as prediction) when flow_fires prediction ->
+      (* The rate has not changed since the prediction was made, so the
+         flow is done now: no residue check, which rounding in
+         [now - last_update] could fail at large virtual times. *)
+      Flow_network.remove_flow network flow;
+      recompute now;
+      let fs = Flow_network.data flow in
+      dep_done now fs.f_app fs.f_node;
       loop ()
+    | _ -> (
+      match Mcs_util.Heap.pop heap with
+      | None -> ()
+      | Some (now, _, ev) ->
+        (match ev with
+        | Task_finish (i, v) -> finish_task now i v
+        | App_release i ->
+          for v = 0 to node_count i - 1 do
+            if
+              deps.(i).(v) = 1
+              && Dag.in_degree schedules.(i).Schedule.ptg.Ptg.dag v = 0
+            then dep_done now i v
+          done
+        | Flow_activate fs ->
+          ignore (Flow_network.add_flow network fs.route fs);
+          fs.last_update <- now;
+          recompute now);
+        loop ())
   in
   loop ();
 
@@ -306,5 +302,6 @@ let run ?release platform schedules =
     finish_times;
     start_times;
     flows_created = !flows_created;
-    events_processed = !events_processed;
+    (* Every event and prediction took one sequence number. *)
+    events_processed = !seq;
   }

@@ -15,7 +15,15 @@
       at the max-min fair rate of their route.
 
     Computation durations reuse the schedule's Amdahl times; only
-    communication timing is re-evaluated. *)
+    communication timing is re-evaluated.
+
+    Each flow activation or completion re-predicts the finish of every
+    active flow. Predictions are not queued: each active flow has one
+    pending prediction, and the earliest one fires unless an earlier
+    queued event (task finish, flow activation, release) comes first.
+    A fired prediction completes its flow, since the flow's rate has
+    not changed since it was made. Cost is proportional to the events
+    and predictions made, not to a queue of superseded ones. *)
 
 type result = {
   makespans : float array;       (** per application: exit-node finish *)
@@ -24,6 +32,8 @@ type result = {
   start_times : float array array;   (** per application, per node *)
   flows_created : int;
   events_processed : int;
+      (** queued events plus flow-completion predictions made — the
+          number of pops of a replay that queued every prediction *)
 }
 
 val run :
